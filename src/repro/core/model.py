@@ -39,6 +39,7 @@ from .views import (
     build_graph_view,
     build_hypergraph_view,
     mask_features,
+    per_view_mask_features,
     seeded_mask_features,
 )
 
@@ -178,6 +179,7 @@ class Bourne:
         hviews: BatchedHypergraphViews,
         rng: Optional[np.random.Generator] = None,
         mask_seed: Optional[int] = None,
+        row_masks: Optional[np.ndarray] = None,
     ) -> BatchScores:
         """Compute node / edge anomaly scores for one prepared batch.
 
@@ -188,16 +190,19 @@ class Bourne:
         ``mask_seed`` switches the ``node_only`` target-branch feature
         mask from sequential ``rng`` draws to the counter-based stream
         keyed by the seed, making the mask — and therefore the scores —
-        independent of batch layout.  The batched inference path feeds
-        one seed per evaluation round; training and the legacy
-        per-target path leave it unset.
+        independent of batch layout; training feeds one seed per batch.
+        ``row_masks`` (``(B, D)`` bool, one Γ1 keep-vector per view)
+        takes precedence over both: inference batches mix
+        (target, round) pairs, and each row carries its own round's
+        mask.  The legacy per-target path leaves both unset.
         """
         mode = self.config.mode
         if mode == "unified":
             return self._forward_unified(gviews, hviews)
         if mode == "node_only":
             return self._forward_node_only(gviews, rng or self.sample_rng,
-                                           mask_seed=mask_seed)
+                                           mask_seed=mask_seed,
+                                           row_masks=row_masks)
         return self._forward_edge_only(hviews)
 
     def _target_forward(self, operator, features) -> Tensor:
@@ -255,13 +260,17 @@ class Bourne:
 
     def _forward_node_only(self, gviews: BatchedGraphViews,
                            rng: np.random.Generator,
-                           mask_seed: Optional[int] = None) -> BatchScores:
+                           mask_seed: Optional[int] = None,
+                           row_masks: Optional[np.ndarray] = None
+                           ) -> BatchScores:
         """w/o HGNN ablation: both branches are graph encoders."""
         cfg = self.config
         h_all = self.online(gviews.operator, Tensor(gviews.features))
         h_t = h_all[gviews.target_rows]
 
-        if mask_seed is not None:
+        if row_masks is not None:
+            augmented = per_view_mask_features(gviews.features, row_masks)
+        elif mask_seed is not None:
             augmented = seeded_mask_features(gviews.features,
                                              cfg.feature_mask_prob, mask_seed)
         else:

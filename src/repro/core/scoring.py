@@ -5,9 +5,9 @@ node and its sampled target edges.  Per-object scores are averaged over
 all visits — edges accumulate evidence from both endpoints.
 
 The batched path draws one *base* per round up front and derives every
-target's sampling seed from ``(base, target id)``, so scores never
-depend on batch layout; :func:`score_graph` exposes the same
-computation sharded over worker processes (``workers=``) with
+``(round, target)`` pair's sampling seed from ``(base, target id)``,
+so scores never depend on batch layout; :func:`score_graph` exposes
+the same computation sharded over worker processes (``workers=``) with
 bitwise-identical output (see :mod:`repro.parallel`).
 
 Shared accumulation loop
@@ -15,15 +15,22 @@ Shared accumulation loop
 :func:`score_target_span` is THE inner scoring loop: the serial
 :func:`score_graph`, the sharded workers
 (:mod:`repro.parallel.engine`), and the serving layer
-(:class:`repro.serving.ScoringService`) all run it — they differ only
-in how a batch's views are built and which RNG streams feed the
-forward.  Bitwise equivalence between the serial, sharded, and served
-paths is therefore structural: there is exactly one accumulation order
-to drift from.  The helper returns :class:`RoundEvidence` — raw
-per-round edge contributions in target order — and
-:func:`replay_edge_rounds` / :func:`mean_edge_rounds` fold spans of
-evidence back together by replaying the serial accumulation sequence
-(rounds outermost, spans in ascending target order).
+(:class:`repro.serving.ScoringService`, router replicas, lifecycle
+probes) all run it — they differ only in how a chunk's views are built
+and which RNG streams feed the forward.  Rounds are a batch axis: a
+span's ``R × B`` (round, target) pairs are flattened round-major into
+chunks of ``batch_size`` pairs, one sampling call, one view build and
+one forward each — ``⌈R·B / batch_size⌉`` forwards where a loop over
+rounds ran ``R·⌈B / batch_size⌉``.  Each chunk's node scores are added
+per round segment in round order and its edge evidence is filed per
+round, so the accumulation sequence is exactly the rounds-outermost
+serial one.  Bitwise equivalence between the serial, sharded, and
+served paths is therefore structural: there is exactly one
+accumulation order to drift from.  The helper returns
+:class:`RoundEvidence` — raw per-round edge contributions in target
+order — and :func:`replay_edge_rounds` / :func:`mean_edge_rounds` fold
+spans of evidence back together by replaying the serial accumulation
+sequence (rounds outermost, spans in ascending target order).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
 from ..utils.seed import rng_from_seed
 from .model import Bourne
+from .views import seeded_forward_mask_draws
 
 #: Offset keeping inference RNG streams disjoint from training draws.
 INFERENCE_SEED_OFFSET = 104729
@@ -150,21 +158,31 @@ def score_target_span(
     targets: np.ndarray,
     rounds: int,
     batch_size: int,
-    build_views: Callable[[np.ndarray, int], tuple],
-    forward_streams: Callable[[int], dict],
+    build_views: Callable[[np.ndarray, np.ndarray], tuple],
+    forward_streams: Callable[[np.ndarray], dict],
     backend=None,
 ) -> RoundEvidence:
     """Run the multi-round scoring loop over one span of targets.
 
     This is the single inner loop shared by the serial scorer, the
-    sharded workers, and the serving layer.  ``build_views(chunk,
-    round_index)`` returns the prepared ``(BatchedGraphViews,
-    BatchedHypergraphViews)`` for one micro-batch;
-    ``forward_streams(round_index)`` returns the keyword arguments that
-    pin the forward pass's RNG streams (``mask_seed=`` offline,
-    ``rng=`` in serving).  Both callbacks must be pure functions of
-    ``(chunk, round)`` — never of batch layout — which is what makes
-    every caller's output bitwise-identical however the span is split.
+    sharded workers, and the serving layer.  Rounds are a batch axis:
+    the span's ``rounds × len(targets)`` (round, target) pairs are
+    flattened round-major and cut into chunks of ``batch_size`` pairs,
+    so the loop runs ``⌈R·B / batch_size⌉`` forwards — one forward
+    may mix rows of several rounds.  ``build_views(chunk_targets,
+    chunk_rounds)`` returns the prepared ``(BatchedGraphViews,
+    BatchedHypergraphViews)`` for one chunk (one round index per row);
+    ``forward_streams(chunk_rounds)`` returns the keyword arguments
+    that pin the forward pass's per-row RNG streams (see
+    :func:`round_mask_streams`).  Both callbacks must be pure functions
+    of each row's ``(target, round)`` — never of batch layout — which
+    is what makes every caller's output bitwise-identical however the
+    span is split.
+
+    Each chunk's node scores are added into ``node_sum`` one per-round
+    segment at a time, in round order, and edge evidence is filed per
+    round in target order: the accumulation sequence is exactly the
+    rounds-outermost serial one, with no ``R × B`` buffer.
 
     ``backend`` selects the compute backend for the forward pass (a
     registered name, a :class:`repro.tensor.TensorBackend` instance, or
@@ -177,35 +195,87 @@ def score_target_span(
     width = len(targets)
     evidence = RoundEvidence(node_sum=np.zeros(width),
                              node_count=np.zeros(width))
+    parts_ids: List[List[np.ndarray]] = [[] for _ in range(rounds)]
+    parts_vals: List[List[np.ndarray]] = [[] for _ in range(rounds)]
+    total = rounds * width
+    for start in range(0, total, batch_size):
+        pairs = np.arange(start, min(start + batch_size, total))
+        chunk_rounds = pairs // width
+        chunk = targets[pairs - chunk_rounds * width]
+        # Tracing stages, not draws: span ids are counter-based and
+        # the callbacks are untouched, so scores stay bitwise-equal
+        # with tracing on (the obs pin tests assert it).
+        with obs_trace.span("scoring.build_views") as sp:
+            sp.set(pairs=len(chunk), first_round=int(chunk_rounds[0]),
+                   last_round=int(chunk_rounds[-1]))
+            gviews, hviews = build_views(chunk, chunk_rounds)
+        with obs_trace.span("scoring.forward") as sp:
+            sp.set(pairs=len(chunk), backend=backend.name)
+            scores = backend.forward_batch(model, gviews, hviews,
+                                           **forward_streams(chunk_rounds))
+        evidence.forward_batches += 1
+        node_scores = (scores.node_scores.data
+                       if scores.node_scores is not None else None)
+        has_edges = (scores.edge_scores is not None
+                     and len(scores.edge_orig_ids) > 0)
+        if has_edges:
+            edge_ids = np.asarray(scores.edge_orig_ids, dtype=np.int64)
+            edge_vals = scores.edge_scores.data
+        # Per-round segments of the chunk, in round order; each edge's
+        # owner row is sorted, so a segment's edges are contiguous too.
+        for round_index in range(int(chunk_rounds[0]),
+                                 int(chunk_rounds[-1]) + 1):
+            lo = max(start, round_index * width)
+            hi = min(start + len(chunk), (round_index + 1) * width)
+            row_lo, row_hi = lo - start, hi - start
+            pos_lo, pos_hi = lo - round_index * width, hi - round_index * width
+            if node_scores is not None:
+                evidence.node_sum[pos_lo:pos_hi] += node_scores[row_lo:row_hi]
+                evidence.node_count[pos_lo:pos_hi] += 1
+            if has_edges:
+                e_lo, e_hi = np.searchsorted(scores.edge_owner,
+                                             (row_lo, row_hi))
+                if e_hi > e_lo:
+                    parts_ids[round_index].append(edge_ids[e_lo:e_hi])
+                    parts_vals[round_index].append(edge_vals[e_lo:e_hi])
     for round_index in range(rounds):
-        parts_ids: List[np.ndarray] = []
-        parts_vals: List[np.ndarray] = []
-        for offset in range(0, width, batch_size):
-            chunk = targets[offset:offset + batch_size]
-            # Tracing stages, not draws: span ids are counter-based and
-            # the callbacks are untouched, so scores stay bitwise-equal
-            # with tracing on (the obs pin tests assert it).
-            with obs_trace.span("scoring.build_views") as sp:
-                sp.set(round=round_index, chunk=len(chunk))
-                gviews, hviews = build_views(chunk, round_index)
-            with obs_trace.span("scoring.forward") as sp:
-                sp.set(round=round_index, chunk=len(chunk),
-                       backend=backend.name)
-                scores = backend.forward_batch(model, gviews, hviews,
-                                               **forward_streams(round_index))
-            evidence.forward_batches += 1
-            if scores.node_scores is not None:
-                evidence.node_sum[offset:offset + len(chunk)] += \
-                    scores.node_scores.data
-                evidence.node_count[offset:offset + len(chunk)] += 1
-            if scores.edge_scores is not None and len(scores.edge_orig_ids):
-                parts_ids.append(np.asarray(scores.edge_orig_ids,
-                                            dtype=np.int64))
-                parts_vals.append(scores.edge_scores.data)
-        ids, vals = concat_round_parts(parts_ids, parts_vals)
+        ids, vals = concat_round_parts(parts_ids[round_index],
+                                       parts_vals[round_index])
         evidence.edge_ids.append(ids)
         evidence.edge_vals.append(vals)
     return evidence
+
+
+def round_mask_streams(model: Bourne, rounds: int,
+                       round_mask: Callable[[int, int, float],
+                                            Optional[np.ndarray]]):
+    """``forward_streams`` callback giving every row its round's
+    ``node_only`` forward mask.
+
+    ``round_mask(round_index, dim, prob)`` returns round ``r``'s Γ1
+    keep-vector (``None`` when masking is off); the table of ``R``
+    vectors is drawn once and each forward receives ``row_masks`` — one
+    row per (target, round) pair, keyed by the row's round — so a row's
+    mask never depends on which rounds share its chunk.  Modes without a
+    forward mask get no keyword arguments at all.
+    """
+    cfg = model.config
+    if cfg.mode != "node_only" or cfg.feature_mask_prob <= 0.0 or rounds < 1:
+        return lambda chunk_rounds: {}
+    table = np.stack([round_mask(round_index, model.num_features,
+                                 cfg.feature_mask_prob)
+                      for round_index in range(rounds)])
+    return lambda chunk_rounds: {"row_masks": table[chunk_rounds]}
+
+
+def offline_forward_streams(model: Bourne, mask_seeds: np.ndarray):
+    """``forward_streams`` callback of the offline batched path: each
+    row's ``node_only`` mask is the counter-based draw of its round's
+    ``mask_seeds`` entry."""
+    return round_mask_streams(
+        model, len(mask_seeds),
+        lambda round_index, dim, prob: seeded_forward_mask_draws(
+            dim, prob, int(mask_seeds[round_index])))
 
 
 def offline_view_builder(model: Bourne, graph, round_bases: np.ndarray):
@@ -214,8 +284,8 @@ def offline_view_builder(model: Bourne, graph, round_bases: np.ndarray):
     target)`` seeds derived from one base per round."""
     augment = model.config.augment_at_inference
 
-    def build(chunk: np.ndarray, round_index: int):
-        target_seeds = derive_target_seeds(round_bases[round_index], chunk)
+    def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
+        target_seeds = derive_target_seeds(round_bases[chunk_rounds], chunk)
         return model.prepare_batch(graph, chunk, augment=augment,
                                    target_seeds=target_seeds)
 
@@ -328,7 +398,7 @@ def score_graph(
         evidence = score_target_span(
             model, np.arange(graph.num_nodes), rounds, batch_size,
             offline_view_builder(model, graph, round_bases),
-            lambda round_index: {"mask_seed": int(mask_seeds[round_index])},
+            offline_forward_streams(model, mask_seeds),
             backend=backend,
         )
         node_sum, node_count = evidence.node_sum, evidence.node_count

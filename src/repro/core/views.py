@@ -170,6 +170,26 @@ def seeded_mask_features(features: np.ndarray, prob: float,
     return features * keep[None, :]
 
 
+def per_view_mask_features(features: np.ndarray,
+                           row_masks: np.ndarray) -> np.ndarray:
+    """Γ1 with one keep-vector per view of a uniform batch.
+
+    ``features`` stacks ``B`` views of equal row count; view ``b``'s
+    rows are multiplied by ``row_masks[b]`` — elementwise the same
+    product :func:`mask_features` applies with a single vector, so a
+    view masked here is bitwise what it is when masked alone.
+    """
+    views = len(row_masks)
+    rows, dim = features.shape
+    if views == 0:
+        return features
+    if rows % views:
+        raise ValueError(f"{rows} feature rows do not split into "
+                         f"{views} uniform views")
+    return (features.reshape(views, rows // views, dim)
+            * row_masks[:, None, :]).reshape(rows, dim)
+
+
 def perturb_incidence(incidence, prob: float,
                       rng: np.random.Generator):
     """Γ2 — kick nodes out of hyperedges i.i.d. Bernoulli(``prob``).
@@ -482,6 +502,10 @@ def batch_hypergraph_views_from_subgraphs(
                               (inc_rows, inc_cols)),
                              shape=(total_rows, total_cols))
     operator = (weighted @ scaled.T).tocsr()
+    # Canonical (sorted-index) CSR: the product leaves each row's
+    # columns in arbitrary order, and spmm sums in storage order, so
+    # sorting pins the forward's summation order to the column order.
+    operator.sort_indices()
 
     patch_pool = sp.csr_matrix(
         (1.0 / target_counts[target_view],
@@ -501,77 +525,6 @@ def batch_hypergraph_views_from_subgraphs(
         context_pool=context_pool,
         has_edges=has_edges,
     )
-
-
-def graph_views_from_subgraphs(
-        batch: SampledSubgraphBatch) -> Sequence[GraphView]:
-    """Per-target :class:`GraphView` list built as ONE dense stack.
-
-    Same anonymization + GCN normalization as
-    :func:`batch_graph_views_from_subgraphs`, but returned as per-view
-    objects (each a slice of the stack) so version-aware caches can keep
-    them at ``(target, round)`` granularity.  Bitwise-identical to
-    ``[build_graph_view(v) for v in batch.views()]``.
-    """
-    num_views = len(batch)
-    if num_views == 0:
-        return []
-    ns = batch.slots
-    dim = batch.features.shape[1]
-    rows_per = ns + 1
-
-    feats = batch.features.reshape(num_views, ns, dim)
-    features = np.zeros((num_views, rows_per, dim))
-    features[:, 1:ns] = feats[:, 1:]
-    features[:, ns] = feats[:, 0]
-
-    adjacency = np.zeros((num_views, rows_per, rows_per))
-    edge_view = np.repeat(np.arange(num_views), np.diff(batch.edge_offsets))
-    adjacency[edge_view, batch.edges[:, 0], batch.edges[:, 1]] = 1.0
-    adjacency[edge_view, batch.edges[:, 1], batch.edges[:, 0]] = 1.0
-    adjacency[:, ns, ns] = 1.0
-    operators = batched_gcn_operator(adjacency)
-    return [GraphView(features=features[i], operator=operators[i],
-                      patch_row=0, target_row=ns, num_context_rows=ns)
-            for i in range(num_views)]
-
-
-def split_hypergraph_views(
-    batch: SampledSubgraphBatch,
-    batched: BatchedHypergraphViews,
-) -> Sequence[Optional[HypergraphView]]:
-    """Per-target :class:`HypergraphView` slices of a batched build.
-
-    The inverse of the stacking: each view with edges gets its dense
-    block of the block-diagonal operator plus its feature rows;
-    degenerate targets (no edges) map to ``None``, exactly like
-    :func:`build_hypergraph_view`.  With matching augmentation draws the
-    slices are bitwise what the per-target builder produces.
-    """
-    num_views = len(batch)
-    edge_counts = np.diff(batch.edge_offsets)
-    target_counts = batch.num_target_edges.astype(np.int64)
-    view_rows = np.where(edge_counts > 0, edge_counts + target_counts, 1)
-    row_off = np.zeros(num_views + 1, dtype=np.int64)
-    np.cumsum(view_rows, out=row_off[1:])
-
-    views: list = []
-    for i in range(num_views):
-        ms = int(edge_counts[i])
-        if ms == 0:
-            views.append(None)
-            continue
-        mtar = int(target_counts[i])
-        r0, r1 = int(row_off[i]), int(row_off[i + 1])
-        e0 = int(batch.edge_offsets[i])
-        views.append(HypergraphView(
-            features=batched.features[r0:r1],
-            operator=batched.operator[r0:r1, r0:r1].toarray(),
-            num_target_edges=mtar,
-            num_context_rows=ms,
-            edge_orig_ids=batch.edge_orig_ids[e0:e0 + mtar].copy(),
-        ))
-    return views
 
 
 def build_batched_views(

@@ -269,6 +269,26 @@ class SampledSubgraphBatch:
         for i in range(len(self)):
             yield self.view(i)
 
+    @classmethod
+    def from_views(cls, subs: Sequence[SampledSubgraph]
+                   ) -> "SampledSubgraphBatch":
+        """Stack per-target subgraphs (equal slot counts, at least one)
+        back into the flat layout — the inverse of :meth:`view`."""
+        slots = subs[0].num_nodes
+        edge_offsets = np.zeros(len(subs) + 1, dtype=np.int64)
+        np.cumsum([sub.num_edges for sub in subs], out=edge_offsets[1:])
+        return cls(
+            targets=np.array([sub.target for sub in subs], dtype=np.int64),
+            node_ids=np.concatenate([sub.node_ids for sub in subs]),
+            node_offsets=np.arange(len(subs) + 1, dtype=np.int64) * slots,
+            features=np.concatenate([sub.features for sub in subs]),
+            edges=np.concatenate([sub.edges for sub in subs]),
+            edge_orig_ids=np.concatenate([sub.edge_orig_ids for sub in subs]),
+            edge_offsets=edge_offsets,
+            num_target_edges=np.array([sub.num_target_edges for sub in subs],
+                                      dtype=np.int64),
+        )
+
 
 def _segment_positions(counts: np.ndarray) -> tuple:
     """``(segment id, position within segment, segment starts)`` for a

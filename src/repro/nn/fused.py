@@ -261,6 +261,7 @@ class FusedInferenceKernel:
         hviews: BatchedHypergraphViews,
         rng=None,
         mask_seed=None,
+        row_masks=None,
     ) -> Optional[BatchScores]:
         """Fused scores for one batch, or ``None`` to request fallback.
 
@@ -278,7 +279,7 @@ class FusedInferenceKernel:
         if compiled.mode == "unified":
             return self._forward_unified(compiled, gviews, hviews)
         return self._forward_node_only(
-            compiled, gviews, model, rng=rng, mask_seed=mask_seed
+            compiled, gviews, model, rng=rng, mask_seed=mask_seed, row_masks=row_masks
         )
 
     def _graph_operator(self, gviews: BatchedGraphViews) -> np.ndarray:
@@ -394,14 +395,17 @@ class FusedInferenceKernel:
         )
 
     def _forward_node_only(
-        self, compiled, gviews, model, rng=None, mask_seed=None
+        self, compiled, gviews, model, rng=None, mask_seed=None, row_masks=None
     ) -> BatchScores:
         feats3 = self._features3(gviews)
         batch, size, dim = feats3.shape
         ops32, h_t, _, _ = self._online_graph_branch(compiled, gviews, feats3)
 
-        # Γ1 forward mask — exactly the draws the reference consumes.
-        if mask_seed is not None:
+        # Γ1 forward mask — exactly the draws the reference consumes;
+        # per-row masks (one per (target, round) pair) win, as there.
+        if row_masks is not None:
+            keep = row_masks[:, None, :]
+        elif mask_seed is not None:
             keep = seeded_forward_mask_draws(
                 dim, compiled.feature_mask_prob, mask_seed
             )
@@ -412,7 +416,7 @@ class FusedInferenceKernel:
             masked = feats3
         else:
             masked = self.workspace.get("graph_feats_masked", feats3.shape)
-            np.multiply(feats3, keep[None, None, :], out=masked, casting="same_kind")
+            np.multiply(feats3, keep, out=masked, casting="same_kind")
 
         z3 = self._graph_stack("target", compiled.target_stack, ops32, masked)
         patch_ctx = z3[:, 0]
@@ -457,11 +461,17 @@ class FusedBackend(TensorBackend):
             self._kernels[model] = kernel
         return kernel
 
-    def forward_batch(self, model, gviews, hviews, rng=None, mask_seed=None):
+    def forward_batch(
+        self, model, gviews, hviews, rng=None, mask_seed=None, row_masks=None
+    ):
         kernel = self.kernel_for(model)
-        scores = kernel.forward(model, gviews, hviews, rng=rng, mask_seed=mask_seed)
+        scores = kernel.forward(
+            model, gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+        )
         if scores is None:
-            return model.forward_batch(gviews, hviews, rng=rng, mask_seed=mask_seed)
+            return model.forward_batch(
+                gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+            )
         return scores
 
     def describe(self) -> dict:

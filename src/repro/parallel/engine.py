@@ -41,6 +41,7 @@ from ..core.scoring import (
     finalize_scores,
     inference_round_streams,
     mean_edge_rounds,
+    offline_forward_streams,
     offline_view_builder,
     replay_edge_rounds,
     score_target_span,
@@ -323,7 +324,7 @@ def _score_shard(task: tuple) -> ShardScore:
             len(round_bases),
             batch_size,
             offline_view_builder(model, graph, round_bases),
-            lambda round_index: {"mask_seed": int(mask_seeds[round_index])},
+            offline_forward_streams(model, mask_seeds),
             backend=resolve_backend(backend_name),
         )
 

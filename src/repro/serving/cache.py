@@ -1,14 +1,21 @@
-"""Version-aware LRU cache of sampled enclosing subgraph views.
+"""Version-aware LRU cache of sampled ``(target, round)`` pairs.
 
 Entries are keyed by ``(target, round)`` and tagged with the store
-version at sampling time.  Lookups pass the target's current
-``region_version``: an entry older than the last mutation affecting the
-target's neighbourhood is discarded on access (lazy invalidation), so
-the cache never serves a view the sampler would no longer produce.
+version at sampling time.  Each entry holds that pair's sampled
+enclosing subgraph row (its own copies of the slot ids, feature rows
+and slot edges — never a slice pinning a whole sampled batch) plus its
+Γ1/Γ2 augmentation outcome; views are built from entries at batch
+time, so hits and misses of one chunk share a single vectorized build.
 
-Because the serving layer derives the sampler RNG deterministically from
-``(seed, round, target)``, a *valid* cached view is bitwise identical to
-what re-sampling would return — cache hits change latency, never scores.
+Lookups pass the target's current ``region_version``: an entry older
+than the last mutation affecting the target's neighbourhood is
+discarded on access (lazy invalidation), so the cache never serves a
+subgraph the sampler would no longer produce.
+
+Because the serving layer derives every draw deterministically from
+``(seed, round, target)``, a *valid* cached pair is bitwise identical
+to what re-sampling would return — cache hits change latency, never
+scores.
 
 Store compaction (folding the delta overlay into the compacted base
 index) changes the topology's *representation*, not its content, and
@@ -22,14 +29,19 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
+import numpy as np
+
+from ..graph.sampling import SampledSubgraph
+
 
 @dataclass
 class CacheEntry:
-    """One cached (graph view, hypergraph view) pair for a target/round."""
+    """One ``(target, round)`` pair: sampled subgraph + Γ1/Γ2 outcome."""
 
-    graph_view: object
-    hyper_view: object           # may be None for degenerate targets
-    version: int                 # store.version at sampling time
+    sub: SampledSubgraph
+    feature_mask: Optional[np.ndarray]    # (D,) Γ1 keep-vector, or None
+    incidence_keep: Optional[np.ndarray]  # (Ms, 2) Γ2 keep flags, or None
+    version: int                          # store.version at sampling time
 
 
 class SubgraphCache:
@@ -71,10 +83,8 @@ class SubgraphCache:
         self.hits += 1
         return entry
 
-    def put(self, key: Tuple[int, int], graph_view, hyper_view,
-            version: int) -> CacheEntry:
+    def put(self, key: Tuple[int, int], entry: CacheEntry) -> CacheEntry:
         """Insert (or refresh) an entry; evicts LRU entries past capacity."""
-        entry = CacheEntry(graph_view, hyper_view, version)
         if self.maxsize == 0:
             return entry
         self._entries[key] = entry

@@ -4,21 +4,26 @@
 checkpoint into a long-lived scorer over a mutable
 :class:`~repro.serving.store.GraphStore`:
 
-* **Micro-batching** — score requests are enqueued and resolved by a
-  single ``forward_batch`` call per evaluation round at ``flush()``
-  time, so concurrent requests share the block-diagonal sparse matmuls
-  instead of paying one forward pass each.
-* **Deterministic per-target sampling** — unlike the offline
-  :func:`repro.core.score_graph`, which threads one RNG through every
-  target sequentially, the service derives the sampler RNG from
-  ``(seed, round, target)``.  A node's score therefore never depends on
-  which other requests happened to share its batch or on the mutation
-  history that produced the store — the property the
+* **Rounds as a batch axis** — pending requests are resolved at
+  ``flush()`` time by the shared span loop
+  (:func:`repro.core.scoring.score_target_span`), which flattens the
+  request's ``R × B`` (round, target) pairs into chunks of
+  ``max_batch`` pairs: ``⌈R·B / max_batch⌉`` forwards per flush, so a
+  cold single-node request at ``R = 160`` is one forward, not 160.
+* **Deterministic per-pair streams** — every draw is a pure function of
+  ``(seed, round, target)``: sampling seeds fold the round's
+  :func:`sampling_base` with the target id, Γ1/Γ2 outcomes come from
+  :func:`view_rng`, and the ``node_only`` forward mask of a row is the
+  first draw of its round's :func:`forward_rng`.  A node's score
+  therefore never depends on which other requests shared its batch or
+  on the mutation history that produced the store — the property the
   serving-equivalence tests pin down bitwise.
-* **Subgraph caching** — sampled views are kept in a version-aware LRU
-  (:class:`~repro.serving.cache.SubgraphCache`); the store's
-  dirty-region tracking invalidates exactly the neighbourhoods a
-  mutation could have changed.
+* **One pair builder** — :func:`sample_target_views` samples a chunk's
+  pairs in one vectorized call and builds both views once; with the
+  version-aware :class:`~repro.serving.cache.SubgraphCache` it answers
+  hits from cached sampled rows and builds hits and misses together.
+  The store's dirty-region tracking invalidates exactly the
+  neighbourhoods a mutation could have changed.
 * **Incremental refresh** — :meth:`refresh` maintains a full score
   table and re-scores only nodes whose region changed since they were
   last scored, which is what makes per-mutation rescoring cheap.
@@ -32,20 +37,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.model import Bourne
-from ..core.scoring import RoundEvidence, mean_edge_rounds, score_target_span
+from ..core.scoring import (
+    RoundEvidence,
+    mean_edge_rounds,
+    round_mask_streams,
+    score_target_span,
+)
 from ..core.views import (
-    batch_graph_views,
-    batch_hypergraph_views,
+    batch_graph_views_from_subgraphs,
     batch_hypergraph_views_from_subgraphs,
-    graph_views_from_subgraphs,
-    split_hypergraph_views,
+    forward_mask_draws,
 )
 from ..graph.graph import Graph
-from ..graph.index import derive_stream_seed, derive_target_seeds
-from ..graph.sampling import sample_enclosing_subgraphs
+from ..graph.index import derive_stream_seed, derive_target_seeds, splitmix64
+from ..graph.sampling import SampledSubgraphBatch, sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
-from .cache import SubgraphCache
+from .cache import CacheEntry, SubgraphCache
 from .store import GraphStore
 
 #: Offset keeping serving RNG streams disjoint from training draws
@@ -54,7 +62,8 @@ _SEED_OFFSET = 104729
 
 #: Sampling-relevant config fields; a hot-swapped model with identical
 #: values (and an unchanged serving seed) can keep the warm subgraph
-#: cache — views depend on topology and these knobs only, never weights.
+#: cache — sampled pairs depend on topology and these knobs only,
+#: never weights.
 _SAMPLING_FIELDS = ("hop_size", "subgraph_size", "feature_mask_prob",
                     "incidence_drop_prob", "augment_at_inference")
 
@@ -63,11 +72,15 @@ _SAMPLING_FIELDS = ("hop_size", "subgraph_size", "feature_mask_prob",
 # Deterministic serving streams (module-level so the sharded refresh
 # workers replay the exact streams the in-process service uses)
 # ----------------------------------------------------------------------
-def sampling_base(seed: int, round_index: int) -> np.uint64:
-    """Base of the counter-based sampling seeds for one round; the batch
-    sampler folds it with each target id, so draws depend on
-    ``(seed, round, target)`` only — never on batch layout."""
-    return derive_stream_seed(seed, 0, round_index)
+def sampling_base(seed: int, round_index) -> np.ndarray:
+    """Base of the counter-based sampling seeds of a round —
+    ``derive_stream_seed(seed, 0, round)``, vectorized: ``round_index``
+    may be one round or an array with one round per (target, round)
+    pair.  The batch sampler folds each base with its target id, so
+    draws depend on ``(seed, round, target)`` only — never on batch
+    layout."""
+    rounds = np.asarray(round_index, dtype=np.uint64)
+    return splitmix64(derive_stream_seed(seed, 0) ^ splitmix64(rounds))
 
 
 def view_rng(seed: int, target: int, round_index: int) -> np.random.Generator:
@@ -76,25 +89,34 @@ def view_rng(seed: int, target: int, round_index: int) -> np.random.Generator:
 
 
 def forward_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Per-round forward stream; fresh per forward call so every
-    micro-batch of a round draws identically (the ``node_only`` mask is
-    its first draw)."""
+    """Per-round forward stream; the ``node_only`` mask of every row of
+    round ``round_index`` is its first draw."""
     return np.random.default_rng((seed, 1, round_index))
 
 
-def _draw_view_augmentation(batch, targets: np.ndarray, round_index: int,
-                            seed: int, mask_prob: float, drop_prob: float):
-    """Γ1/Γ2 outcomes for a sampled batch from the legacy per-target
-    ``Generator`` streams.
+def service_forward_streams(model: Bourne, seed: int, rounds: int):
+    """``forward_streams`` callback of the serving span loop: each row's
+    ``node_only`` mask is the first draw of its round's
+    :func:`forward_rng`."""
+    return round_mask_streams(
+        model, rounds,
+        lambda round_index, dim, prob: forward_mask_draws(
+            dim, prob, forward_rng(seed, round_index)))
+
+
+def _draw_view_augmentation(batch, targets: np.ndarray,
+                            round_ids: np.ndarray, seed: int,
+                            mask_prob: float, drop_prob: float):
+    """Γ1/Γ2 outcomes for a sampled chunk of (target, round) pairs from
+    the per-pair ``Generator`` streams.
 
     Replays exactly the draws ``build_hypergraph_view(sub,
     view_rng(seed, target, round))`` would consume — first the ``(D,)``
     feature mask (only when ``mask_prob > 0``), then the ``(Ms, slots)``
     incidence-drop matrix (only when ``drop_prob > 0``); degenerate
-    targets draw nothing — so the vectorized builder produces
-    bitwise-identical augmented views.  Returns ``(feature_masks,
-    incidence_keep)`` for :func:`batch_hypergraph_views_from_subgraphs`
-    (``None`` for whichever augmentation is disabled).
+    targets draw nothing.  Returns ``(feature_masks, incidence_keep)``
+    for :func:`batch_hypergraph_views_from_subgraphs` (``None`` for
+    whichever augmentation is disabled).
     """
     num_views = len(batch)
     slots = batch.slots
@@ -105,11 +127,11 @@ def _draw_view_augmentation(batch, targets: np.ndarray, round_index: int,
             if drop_prob > 0.0 else None)
     if masks is None and keep is None:
         return None, None
-    for i, target in enumerate(targets):
+    for i, (target, round_index) in enumerate(zip(targets, round_ids)):
         ms = int(edge_counts[i])
         if ms == 0:
             continue
-        rng = view_rng(seed, int(target), round_index)
+        rng = view_rng(seed, int(target), int(round_index))
         if masks is not None:
             masks[i] = rng.random(dim) >= mask_prob
         if keep is not None:
@@ -122,52 +144,112 @@ def _draw_view_augmentation(batch, targets: np.ndarray, round_index: int,
     return masks, keep
 
 
-def sample_target_views(graph_like, targets: np.ndarray, round_index: int,
-                        seed: int, config) -> list:
-    """Sample + build the ``(graph_view, hyper_view)`` pairs of one round.
-
-    One vectorized batch sampling call, then ONE vectorized view build
-    for the whole chunk — dense-stacked graph views and a single
-    block-diagonal hypergraph build, split back into per-target views
-    for the ``(target, round)`` cache.  Augmentation outcomes are
-    precomputed from the per-``(target, round)`` streams, so the output
-    is bitwise what the old per-target ``build_*_view`` loop produced.
-    Pure function of ``(topology, seed, round, targets)`` — the service
-    miss path and the sharded refresh workers both call it, which is
-    what keeps their scores bitwise-identical.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    seeds = derive_target_seeds(sampling_base(seed, round_index), targets)
+def _sample_pairs(graph_like, targets: np.ndarray, round_ids: np.ndarray,
+                  seed: int, config):
+    """``(batch, feature_masks, incidence_keep)`` of a chunk of pairs:
+    ONE batch sampling call seeded per pair, then the per-pair Γ1/Γ2
+    streams."""
+    seeds = derive_target_seeds(sampling_base(seed, round_ids), targets)
     sampled = sample_enclosing_subgraphs(
         graph_like, targets, k=config.hop_size,
         size=config.subgraph_size, target_seeds=seeds)
-    with obs_trace.span("views.build_batched") as sp:
-        sp.set(targets=len(targets), round=round_index)
-        graph_views = graph_views_from_subgraphs(sampled)
-        masks = keep = None
-        if config.augment_at_inference:
-            masks, keep = _draw_view_augmentation(
-                sampled, targets, round_index, seed,
-                config.feature_mask_prob, config.incidence_drop_prob)
-        batched = batch_hypergraph_views_from_subgraphs(
-            sampled, augment=False,
-            feature_masks=masks, incidence_keep=keep)
-        hyper_views = split_hypergraph_views(sampled, batched)
-    return list(zip(graph_views, hyper_views))
+    masks = keep = None
+    if config.augment_at_inference:
+        masks, keep = _draw_view_augmentation(
+            sampled, targets, round_ids, seed,
+            config.feature_mask_prob, config.incidence_drop_prob)
+    return sampled, masks, keep
 
 
-def batch_round_views(graph_like, chunk: np.ndarray, round_index: int,
-                      seed: int, config, num_features: int):
-    """Sample + batch one micro-batch's views (the uncached miss path).
+def _entry_of(batch, masks, keep, i: int, version: int) -> CacheEntry:
+    """Cache entry of pair ``i`` — copies, so it pins no batch array."""
+    view = batch.view(i)
+    e0, e1 = int(batch.edge_offsets[i]), int(batch.edge_offsets[i + 1])
+    view.node_ids = view.node_ids.copy()
+    view.features = view.features.copy()
+    view.edges = view.edges.copy()
+    view.edge_orig_ids = view.edge_orig_ids.copy()
+    return CacheEntry(
+        sub=view,
+        feature_mask=None if masks is None else masks[i].copy(),
+        incidence_keep=None if keep is None else keep[e0:e1].copy(),
+        version=version)
 
-    Pure function of ``(topology, seed, round, chunk)``; used directly
-    by the sharded refresh workers and — through the subgraph cache —
-    by the in-process service, so both feed the shared span loop
-    identical inputs.
+
+def _stack_entries(entries: Sequence[CacheEntry]):
+    """One chunk's ``(batch, feature_masks, incidence_keep)`` from its
+    pairs' entries, in pair order."""
+    batch = SampledSubgraphBatch.from_views([entry.sub for entry in entries])
+    masks = keep = None
+    if entries[0].feature_mask is not None:
+        masks = np.stack([entry.feature_mask for entry in entries])
+    if entries[0].incidence_keep is not None:
+        keep = np.concatenate([entry.incidence_keep for entry in entries])
+    return batch, masks, keep
+
+
+def _cached_pairs(store, targets: np.ndarray, round_ids: np.ndarray,
+                  seed: int, config, cache: SubgraphCache):
+    """:func:`_sample_pairs` answered from ``cache`` where it can be:
+    hits come back from their entries, misses are sampled in one call
+    and written back, and the chunk is put together in pair order."""
+    with obs_trace.span("service.view_cache") as sp:
+        entries: List[Optional[CacheEntry]] = [
+            cache.get((int(target), int(round_index)),
+                      store.region_version(int(target)))
+            for target, round_index in zip(targets, round_ids)]
+        misses = [i for i, entry in enumerate(entries) if entry is None]
+        sp.set(pairs=len(targets), hits=len(targets) - len(misses),
+               misses=len(misses))
+    if not misses:
+        return _stack_entries(entries)
+    miss = np.asarray(misses, dtype=np.int64)
+    sampled, masks, keep = _sample_pairs(store, targets[miss],
+                                         round_ids[miss], seed, config)
+    # A zero-size cache stores nothing, so it never hits and every
+    # chunk takes the all-miss return below: skip building entries.
+    if cache.maxsize:
+        version = store.version
+        for j, i in enumerate(misses):
+            entries[i] = cache.put(
+                (int(targets[i]), int(round_ids[i])),
+                _entry_of(sampled, masks, keep, j, version))
+    if len(misses) == len(targets):
+        return sampled, masks, keep
+    return _stack_entries(entries)
+
+
+def sample_target_views(graph_like, targets: np.ndarray,
+                        round_ids: np.ndarray, seed: int, config,
+                        cache: Optional[SubgraphCache] = None):
+    """Sample + build the views of one chunk of (target, round) pairs.
+
+    THE serving pair builder: one vectorized batch sampling call seeded
+    per pair from :func:`sampling_base`, the per-pair Γ1/Γ2 streams,
+    then ONE vectorized build of both batched views straight from the
+    sampled rows (no per-target views).  With a ``cache`` (the service
+    passes its :class:`SubgraphCache`; ``graph_like`` is then the
+    store), pairs are looked up first and only misses are sampled.
+    Pure function of
+    ``(topology, seed, pairs)`` — the service, the sharded refresh
+    workers, router replicas and lifecycle probes all call it, which is
+    what keeps their scores bitwise-identical.  Returns
+    ``(BatchedGraphViews, BatchedHypergraphViews)``.
     """
-    views = sample_target_views(graph_like, chunk, round_index, seed, config)
-    return (batch_graph_views([pair[0] for pair in views]),
-            batch_hypergraph_views([pair[1] for pair in views], num_features))
+    targets = np.asarray(targets, dtype=np.int64)
+    round_ids = np.asarray(round_ids, dtype=np.int64)
+    if cache is None:
+        batch, masks, keep = _sample_pairs(graph_like, targets, round_ids,
+                                           seed, config)
+    else:
+        batch, masks, keep = _cached_pairs(graph_like, targets, round_ids,
+                                           seed, config, cache)
+    with obs_trace.span("views.build_batched") as sp:
+        sp.set(pairs=len(targets))
+        return (batch_graph_views_from_subgraphs(batch),
+                batch_hypergraph_views_from_subgraphs(
+                    batch, augment=False,
+                    feature_masks=masks, incidence_keep=keep))
 
 
 def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
@@ -176,23 +258,22 @@ def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
     """Uncached service-stream scoring of one target span.
 
     Runs the same :func:`repro.core.scoring.score_target_span` loop as
-    ``ScoringService._score_targets`` with the same per-``(seed, round,
-    target)`` view streams and per-round forward streams — the sharded
-    refresh workers call this, which is what makes a sharded refresh
-    bitwise-identical to a serial one.  ``backend`` names the compute
-    backend (workers receive the parent service's backend name and
-    resolve it locally).
+    ``ScoringService._score_span`` with the same per-``(seed, round,
+    target)`` streams — the sharded refresh workers, router replicas
+    and lifecycle probes call this, which is what makes them
+    bitwise-identical to the in-process service.  ``backend`` names the
+    compute backend (workers receive the parent service's backend name
+    and resolve it locally).
     """
     config = model.config
-    num_features = graph_like.num_features
 
-    def build(chunk: np.ndarray, round_index: int):
-        return batch_round_views(graph_like, chunk, round_index, seed,
-                                 config, num_features)
+    def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
+        return sample_target_views(graph_like, chunk, chunk_rounds, seed,
+                                   config)
 
     return score_target_span(
         model, targets, rounds, max_batch, build,
-        lambda round_index: {"rng": forward_rng(seed, round_index)},
+        service_forward_streams(model, seed, rounds),
         backend=backend,
     )
 
@@ -287,9 +368,10 @@ class ScoringService:
         Base seed of the serving RNG streams (default: model seed +
         the inference offset, mirroring the offline scorer).
     cache_size:
-        Capacity of the subgraph LRU in ``(target, round)`` entries.
+        Capacity of the pair cache in ``(target, round)`` entries.
     max_batch:
-        Micro-batch cap per forward call (default: model batch size).
+        Cap on (target, round) pairs per forward call (default: model
+        batch size).
     backend:
         Compute backend for the forward passes — a registered name
         (``"numpy"``/``"fused"``/``"numba"``) or a backend instance;
@@ -356,18 +438,6 @@ class ScoringService:
                 f"store influence_radius={self.store.influence_radius} is "
                 f"smaller than the model hop_size={cfg.hop_size}; dirty "
                 "regions would under-invalidate the subgraph cache")
-
-    # ------------------------------------------------------------------
-    # RNG streams (deterministic, batch-independent)
-    # ------------------------------------------------------------------
-    def _sampling_base(self, round_index: int) -> np.uint64:
-        return sampling_base(self.seed, round_index)
-
-    def _view_rng(self, target: int, round_index: int) -> np.random.Generator:
-        return view_rng(self.seed, target, round_index)
-
-    def _forward_rng(self, round_index: int) -> np.random.Generator:
-        return forward_rng(self.seed, round_index)
 
     # ------------------------------------------------------------------
     # Request path
@@ -570,19 +640,22 @@ class ScoringService:
 
         Runs the shared :func:`repro.core.scoring.score_target_span`
         loop — the same accumulation the offline scorer and the sharded
-        refresh workers run — with a view builder that answers from the
-        version-aware subgraph cache.  A fresh per-round stream feeds
-        every forward call: the ``node_only`` mask is its first draw,
-        so every micro-batch of a round applies the identical mask.
-        ``edge_means`` is THIS call's per-edge-id evidence (folded into
-        the evidence table as a side effect).
+        refresh workers run — with :func:`sample_target_views` answering
+        each chunk of (target, round) pairs through the version-aware
+        pair cache.  ``edge_means`` is THIS call's per-edge-id evidence
+        (folded into the evidence table as a side effect).
         """
+        config = self.model.config
+
+        def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
+            return sample_target_views(self.store, chunk, chunk_rounds,
+                                       self.seed, config, cache=self.cache)
+
         with obs_trace.span("service.score_span") as sp:
             sp.set(targets=len(targets), rounds=self.rounds)
             evidence = score_target_span(
-                self.model, targets, self.rounds, self.max_batch,
-                self._cached_round_views,
-                lambda round_index: {"rng": self._forward_rng(round_index)},
+                self.model, targets, self.rounds, self.max_batch, build,
+                service_forward_streams(self.model, self.seed, self.rounds),
                 backend=self.backend,
             )
         self._forward_batches += evidence.forward_batches
@@ -592,45 +665,6 @@ class ScoringService:
             self._edge_table[self.store.edge_key(eid)] = (mean, version)
         self._nodes_scored += len(targets)
         return evidence.node_sum / self.rounds, means
-
-    def _cached_round_views(self, chunk: np.ndarray, round_index: int):
-        """``build_views`` callback of the span loop: cache entries for
-        ``chunk`` batched into one forward's views."""
-        entries = self._views_for_chunk(chunk, round_index)
-        return (batch_graph_views([entry.graph_view for entry in entries]),
-                batch_hypergraph_views([entry.hyper_view for entry in entries],
-                                       self.store.num_features))
-
-    def _views_for_chunk(self, chunk: np.ndarray, round_index: int) -> list:
-        """Cache entries for ``chunk``; misses are sampled in ONE
-        vectorized batch call (no per-target sampling loop), then built
-        into per-target views so the version-aware LRU keeps serving
-        hits at ``(target, round)`` granularity."""
-        with obs_trace.span("service.cache_lookup") as sp:
-            entries: Dict[int, object] = {}
-            misses: List[int] = []
-            for target in chunk:
-                target = int(target)
-                entry = self.cache.get((target, round_index),
-                                       self.store.region_version(target))
-                if entry is None:
-                    misses.append(target)
-                else:
-                    entries[target] = entry
-            sp.set(chunk=len(chunk), hits=len(chunk) - len(misses),
-                   misses=len(misses), round=round_index)
-        if misses:
-            with obs_trace.span("service.cache_miss_sample") as sp:
-                sp.set(misses=len(misses), round=round_index)
-                miss_targets = np.asarray(misses, dtype=np.int64)
-                built = sample_target_views(self.store, miss_targets,
-                                            round_index, self.seed,
-                                            self.model.config)
-                version = self.store.version
-                for target, (graph_view, hyper_view) in zip(misses, built):
-                    entries[target] = self.cache.put(
-                        (target, round_index), graph_view, hyper_view, version)
-        return [entries[int(target)] for target in chunk]
 
     # ------------------------------------------------------------------
     # Introspection

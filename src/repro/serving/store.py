@@ -51,6 +51,17 @@ from ..graph.index import GraphIndex
 _EMPTY_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
+def _check_finite(features: np.ndarray) -> None:
+    """Reject NaN/inf feature rows before any state changes: one
+    non-finite row would poison ``drift_total`` (and the lifecycle
+    drift trigger reading it) and every score near the row."""
+    if not np.isfinite(features).all():
+        rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        raise ValueError(
+            f"features must be finite; non-finite values in row(s) "
+            f"{rows[:8].tolist()}")
+
+
 class GraphStore:
     """Mutable attributed graph with version/dirty-region bookkeeping.
 
@@ -88,6 +99,7 @@ class GraphStore:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
+        _check_finite(features)
         if influence_radius < 1:
             raise ValueError("influence_radius must be >= 1")
         self.name = name
@@ -288,6 +300,7 @@ class GraphStore:
         if features.shape[1] != self._dim:
             raise ValueError(
                 f"expected {self._dim} features per node, got {features.shape[1]}")
+        _check_finite(features)
         self.version += 1
         self.nodes_added += features.shape[0]
         return self._append_nodes(features, labels)
@@ -327,6 +340,7 @@ class GraphStore:
                 f"got {features.shape}")
         if len(nodes) and (nodes.min() < 0 or nodes.max() >= self._num_nodes):
             raise IndexError("node id out of range")
+        _check_finite(features)
         self.version += 1
         magnitude = float(np.linalg.norm(features - self._features[nodes]))
         self.drift_total += magnitude

@@ -50,6 +50,34 @@ def is_grad_enabled() -> bool:
     return _grad_enabled
 
 
+#: Contraction block of 2-D products (see :func:`blocked_matmul`).
+MATMUL_K_BLOCK = 256
+
+
+def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with the contraction summed in fixed blocks of
+    :data:`MATMUL_K_BLOCK` terms, so a row's result never depends on
+    how many rows share the product.
+
+    BLAS picks its kernel by problem size: OpenBLAS, for one, runs an
+    unblocked small-matrix kernel when ``M·N·K`` is small and a
+    K-blocked one otherwise, and for long contractions the two round
+    differently.  Inference stacks a varying number of (target, round)
+    pairs into one product, so without this a score would depend on
+    batch layout in the last ulp.  Each block is short enough that every
+    kernel sums it in one pass; the blocks are then added in a fixed
+    order.  Contractions of at most one block are the plain product.
+    """
+    k = a.shape[-1]
+    if a.ndim != 2 or b.ndim != 2 or k <= MATMUL_K_BLOCK:
+        return a @ b
+    out = a[:, :MATMUL_K_BLOCK] @ b[:MATMUL_K_BLOCK]
+    for start in range(MATMUL_K_BLOCK, k, MATMUL_K_BLOCK):
+        out += (a[:, start:start + MATMUL_K_BLOCK]
+                @ b[start:start + MATMUL_K_BLOCK])
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
@@ -317,7 +345,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
-        data = self.data @ other.data
+        data = blocked_matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -50,9 +50,13 @@ class TensorBackend:
     #: True when compiled (numba-jitted) kernels are actually in use.
     jitted = False
 
-    def forward_batch(self, model, gviews, hviews, rng=None, mask_seed=None):
+    def forward_batch(
+        self, model, gviews, hviews, rng=None, mask_seed=None, row_masks=None
+    ):
         """Score one prepared batch (see ``Bourne.forward_batch``)."""
-        return model.forward_batch(gviews, hviews, rng=rng, mask_seed=mask_seed)
+        return model.forward_batch(
+            gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+        )
 
     def describe(self) -> dict:
         """Introspection payload for stats endpoints and tests."""

@@ -131,9 +131,20 @@ class TestMicroBatching:
             handles[0].result()
         before = service.stats()["forward_batches"]
         service.flush()
-        # 3 distinct targets fit one micro-batch per round
-        assert service.stats()["forward_batches"] == before + service.rounds
+        # rounds are a batch axis: 3 targets x 2 rounds = 6 pairs fit
+        # one forward
+        assert service.stats()["forward_batches"] == before + 1
         assert all(h.done for h in handles)
+
+    @pytest.mark.parametrize("max_batch", [7, 64, 256])
+    def test_cold_single_node_forwards(self, model, max_batch):
+        """A cold R=160 single-node request costs ceil(160 / max_batch)
+        forwards, not one per round."""
+        features, edges = random_topology(seed=6, n=30, m=60)
+        service = ScoringService(model, Graph(features, edges), rounds=160,
+                                 max_batch=max_batch)
+        service.score_node(3)
+        assert service.stats()["forward_batches"] == -(-160 // max_batch)
 
     def test_fresh_requests_served_from_table(self, model):
         features, edges = random_topology(seed=6, n=30, m=60)

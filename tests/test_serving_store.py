@@ -138,3 +138,52 @@ class TestDirtyRegions:
     def test_influence_radius_validation(self):
         with pytest.raises(ValueError):
             GraphStore(np.zeros((2, 2)), influence_radius=0)
+
+
+class TestNonFiniteFeatures:
+    """A NaN/inf feature row is rejected before any state changes — it
+    would otherwise poison ``drift_total`` for good and silently disable
+    the lifecycle drift trigger."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    def state(self, store):
+        return (store.version, store.drift_total, store.num_nodes,
+                store.features_updated, store.nodes_added,
+                store.features.copy())
+
+    def assert_unchanged(self, store, before):
+        after = self.state(store)
+        assert after[:5] == before[:5]
+        np.testing.assert_array_equal(after[5], before[5])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_constructor_rejects(self, bad):
+        features, edges = random_topology()
+        features[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GraphStore(features, edges)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_update_features_rejects_without_state_change(self, bad):
+        features, edges = random_topology()
+        store = GraphStore(features, edges)
+        store.update_features([1], features[[1]] + 1.0)
+        before = self.state(store)
+        row = features[[4]].copy()
+        row[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            store.update_features([4], row)
+        self.assert_unchanged(store, before)
+        assert np.isfinite(store.drift_total)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_add_nodes_rejects_without_state_change(self, bad):
+        features, edges = random_topology()
+        store = GraphStore(features, edges)
+        before = self.state(store)
+        rows = features[:2].copy()
+        rows[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            store.add_nodes(rows)
+        self.assert_unchanged(store, before)

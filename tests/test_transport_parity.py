@@ -413,3 +413,42 @@ class TestHttpTransportErrors:
             return True
 
         assert run_with_gateway(scenario, tracing=False)
+
+
+class TestNonFiniteFeaturesOnTheWire:
+    """NaN/Infinity feature values (accepted by the JSON parser) answer
+    a 400 envelope on both transports, and leave the store untouched:
+    no version bump, no drift accounted."""
+
+    @pytest.mark.parametrize("request_body", [
+        {"op": "update_features", "node": 0,
+         "features": [float("nan")] + [0.0] * 5},
+        {"op": "update_features", "node": 3,
+         "features": [0.0] * 5 + [float("inf")]},
+        {"op": "add_node", "features": [0.0, float("-inf")] + [0.0] * 4},
+    ])
+    def test_rejected_with_envelope_and_no_state_change(self, request_body):
+        async def scenario(gateway, host, port):
+            store = gateway.service.store
+            before = (store.version, store.drift_total, store.num_nodes)
+            ndjson = await ndjson_one(host, port, request_body)
+            status, http = await http_post(host, port, "/v1/update",
+                                           request_body)
+            for response in (ndjson, http):
+                assert_envelope(response)
+                assert response["error_type"] == "ValueError"
+                assert response["code"] == 400
+            assert status == 400
+            assert strip_transport_fields(ndjson) \
+                == strip_transport_fields(http)
+            assert (store.version, store.drift_total,
+                    store.num_nodes) == before
+            # the store still takes valid writes afterwards
+            ok = await ndjson_one(host, port, {
+                "op": "update_features", "node": 0,
+                "features": [0.5] * 6})
+            assert ok["ok"] is True
+            assert np.isfinite(store.drift_total)
+            return True
+
+        assert run_with_gateway(scenario, tracing=False)
