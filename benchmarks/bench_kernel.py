@@ -43,8 +43,7 @@ sys.path.insert(
 import numpy as np
 
 from repro.core import Bourne, BourneConfig
-from repro.core.scoring import inference_round_streams
-from repro.graph.index import derive_target_seeds
+from repro.core.scoring import inference_seed, round_mask_seed, sample_target_views
 from repro.nn.fused import HAVE_NUMBA
 from repro.tensor.backend import resolve_backend
 
@@ -84,17 +83,15 @@ def prebuilt_batches(model, graph):
     """Materialize one inference round's view batches ahead of timing,
     so every backend forwards the exact same inputs."""
     cfg = model.config
-    _, round_bases, mask_seeds = inference_round_streams(cfg, 1, None)
+    seed = inference_seed(cfg)
+    mask_seed = round_mask_seed(seed, 0)
     targets = np.arange(graph.num_nodes, dtype=np.int64)
     batches = []
     for offset in range(0, len(targets), BATCH_SIZE):
         chunk = targets[offset:offset + BATCH_SIZE]
-        target_seeds = derive_target_seeds(round_bases[0], chunk)
-        gviews, hviews = model.prepare_batch(
-            graph, chunk, augment=cfg.augment_at_inference,
-            target_seeds=target_seeds,
-        )
-        batches.append((gviews, hviews, int(mask_seeds[0])))
+        round_zero = np.zeros(len(chunk), dtype=np.int64)
+        gviews, hviews = sample_target_views(graph, chunk, round_zero, seed, cfg)
+        batches.append((gviews, hviews, mask_seed))
     return batches
 
 

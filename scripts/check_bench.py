@@ -2,11 +2,10 @@
 """Benchmark regression gate: fresh reports vs. committed baselines.
 
 Compares every numeric ``*speedup*`` metric of freshly produced
-benchmark reports (``BENCH_sampling.json``, ``BENCH_parallel.json``,
-``BENCH_training.json``, ``BENCH_gateway.json``) against the committed
-baseline copies and fails when a fresh value drops below ``tolerance``
-times its baseline — the blocking replacement for the old
-``continue-on-error`` benchmark step.
+benchmark reports (the ``BENCH_*.json`` files the ``benchmarks/``
+scripts write, for example ``BENCH_parallel.json`` or
+``BENCH_gateway.json``) against the committed baseline copies and fails
+when a fresh value drops below ``tolerance`` times its baseline.
 
 Usage::
 

@@ -289,19 +289,19 @@ def _serve_loop(service, source, out, refresh_workers=None) -> int:
     promptly; a closed output pipe ends the loop cleanly instead of
     crashing the process.
     """
-    import json
-
     from .gateway.protocol import (
         REQUEST_ERRORS,
         attach_request_id,
         dispatch_request,
+        encode_response,
         error_response,
         parse_request,
     )
 
     def emit(response) -> bool:
+        _, text = encode_response(response)
         try:
-            out.write(json.dumps(response) + "\n")
+            out.write(text + "\n")
             out.flush()
             return True
         except (BrokenPipeError, ValueError):

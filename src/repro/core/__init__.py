@@ -22,10 +22,6 @@ from .views import (
     HypergraphView,
     batch_graph_views,
     batch_hypergraph_views,
-    build_graph_view,
-    build_hypergraph_view,
-    mask_features,
-    perturb_incidence,
 )
 
 __all__ = [
@@ -55,10 +51,6 @@ __all__ = [
     "HypergraphView",
     "BatchedGraphViews",
     "BatchedHypergraphViews",
-    "build_graph_view",
-    "build_hypergraph_view",
     "batch_graph_views",
     "batch_hypergraph_views",
-    "mask_features",
-    "perturb_incidence",
 ]

@@ -4,29 +4,37 @@ Every node is visited as a target ``R`` times; each visit scores the
 node and its sampled target edges.  Per-object scores are averaged over
 all visits — edges accumulate evidence from both endpoints.
 
-The batched path draws one *base* per round up front and derives every
-``(round, target)`` pair's sampling seed from ``(base, target id)``,
-so scores never depend on batch layout; :func:`score_graph` exposes
-the same computation sharded over worker processes (``workers=``) with
-bitwise-identical output (see :mod:`repro.parallel`).
+One stream scheme
+-----------------
+Every inference draw is counter-based and keyed by ``(stream seed,
+round, target)``.  Round ``r``'s base is :func:`sampling_base`; each
+(target, round) pair's seed folds that base with the target id
+(:func:`repro.graph.index.derive_target_seeds`) and drives the pair's
+subgraph sampling *and* its Γ1/Γ2 view augmentation; the ``node_only``
+forward mask of round ``r`` is seeded by
+``derive_stream_seed(base_r, _ROUND_MASK_TAG)``.  The stream seed is
+:func:`inference_seed` — the model seed (or an explicit ``seed``) plus
+:data:`INFERENCE_SEED_OFFSET` — for the offline scorer and the serving
+layer alike, so a node's score depends on ``(model, graph, seed,
+rounds)`` only: never on batch layout, sharding, request history, or
+which surface asked.
 
-Shared accumulation loop
-------------------------
-:func:`score_target_span` is THE inner scoring loop: the serial
-:func:`score_graph`, the sharded workers
-(:mod:`repro.parallel.engine`), and the serving layer
-(:class:`repro.serving.ScoringService`, router replicas, lifecycle
-probes) all run it — they differ only in how a chunk's views are built
-and which RNG streams feed the forward.  Rounds are a batch axis: a
-span's ``R × B`` (round, target) pairs are flattened round-major into
-chunks of ``batch_size`` pairs, one sampling call, one view build and
-one forward each — ``⌈R·B / batch_size⌉`` forwards where a loop over
-rounds ran ``R·⌈B / batch_size⌉``.  Each chunk's node scores are added
-per round segment in round order and its edge evidence is filed per
-round, so the accumulation sequence is exactly the rounds-outermost
-serial one.  Bitwise equivalence between the serial, sharded, and
-served paths is therefore structural: there is exactly one
-accumulation order to drift from.  The helper returns
+One pipeline, one loop
+----------------------
+:func:`sample_target_views` samples and builds the views of one chunk
+of (target, round) pairs; :func:`score_span` runs the shared
+accumulation loop :func:`score_target_span` over it.  The serial
+:func:`score_graph`, the sharded workers (:mod:`repro.parallel`), and
+the serving layer (:class:`repro.serving.ScoringService`, router
+replicas, lifecycle probes) all call :func:`score_span`; the service
+only adds its subgraph-cache lookup through the ``sample`` hook.  Rounds
+are a batch axis: a span's ``R × B`` pairs are flattened round-major
+into chunks of ``batch_size`` pairs, one sampling call, one view build
+and one forward each — ``⌈R·B / batch_size⌉`` forwards.  Each chunk's
+node scores are added per round segment in round order and its edge
+evidence is filed per round, so the accumulation sequence is exactly
+the rounds-outermost serial one, and offline, sharded and served
+scores are bitwise-equal by construction.  The loop returns
 :class:`RoundEvidence` — raw per-round edge contributions in target
 order — and :func:`replay_edge_rounds` / :func:`mean_edge_rounds` fold
 spans of evidence back together by replaying the serial accumulation
@@ -41,19 +49,24 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.index import derive_stream_seed, derive_target_seeds
+from ..graph.index import derive_stream_seed, derive_target_seeds, splitmix64
+from ..graph.sampling import SampledSubgraphBatch, sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
-from ..utils.seed import rng_from_seed
 from .model import Bourne
-from .views import seeded_forward_mask_draws
+from .views import (
+    batch_graph_views_from_subgraphs,
+    batch_hypergraph_views_from_subgraphs,
+    seeded_forward_mask_draws,
+)
 
-#: Offset keeping inference RNG streams disjoint from training draws.
+#: Offset folded into every inference stream seed, keeping inference
+#: draws disjoint from the training streams of the same base seed.
 INFERENCE_SEED_OFFSET = 104729
 
-#: Stream tag folding a round base into the per-round forward mask seed
-#: (``node_only`` mode); distinct from the sampler's tags 1/2 and the
-#: views' mask tag 3 so no stream ever collides.
+#: Stream tag folding a round base into the round's ``node_only``
+#: forward-mask seed; distinct from the sampler's tags 1/2 and the
+#: views' tags 3/4/5 so no stream ever collides.
 _ROUND_MASK_TAG = 11
 
 
@@ -86,24 +99,90 @@ class AnomalyScores:
         return float((self.edge_rounds > 0).mean())
 
 
-def inference_round_streams(config, rounds: int, seed: Optional[int]):
-    """Derive the per-round RNG streams of batched inference.
+def inference_seed(config, seed: Optional[int] = None) -> int:
+    """Stream seed of inference: ``seed`` (default: the model seed)
+    plus :data:`INFERENCE_SEED_OFFSET`.  :func:`score_graph` and
+    :class:`repro.serving.ScoringService` both derive their streams
+    here, so the same ``seed`` names the same streams on every
+    surface."""
+    return (config.seed if seed is None else int(seed)) + INFERENCE_SEED_OFFSET
 
-    Returns ``(rng, round_bases, mask_seeds)``: the sequential RNG (used
-    only when augmentation draws remain sequential), one ``uint64``
-    sampling base per round, and one forward-mask seed per round derived
-    from each base *without* consuming the RNG.  The sharded engine
-    calls this with identical arguments, which is what makes its output
-    bitwise-identical to the serial path.
+
+def sampling_base(seed: int, round_index) -> np.ndarray:
+    """Base of round ``round_index``'s counter-based draws —
+    ``derive_stream_seed(seed, 0, round)``, vectorized: ``round_index``
+    may be one round or an array with one round per (target, round)
+    pair."""
+    rounds = np.asarray(round_index, dtype=np.uint64)
+    return splitmix64(derive_stream_seed(seed, 0) ^ splitmix64(rounds))
+
+
+def round_mask_seed(seed: int, round_index: int) -> int:
+    """Seed of round ``round_index``'s ``node_only`` forward mask."""
+    return int(derive_stream_seed(int(sampling_base(seed, round_index)),
+                                  _ROUND_MASK_TAG))
+
+
+def inference_forward_streams(model: Bourne, seed: int, rounds: int):
+    """``forward_streams`` callback giving every row its round's
+    ``node_only`` forward mask.
+
+    The table of ``R`` Γ1 keep-vectors is drawn once (round ``r``'s from
+    :func:`round_mask_seed`) and each forward receives ``row_masks`` —
+    one row per (target, round) pair, keyed by the row's round — so a
+    row's mask never depends on which rounds share its chunk.  Modes
+    without a forward mask get no keyword arguments at all.
     """
-    rng = rng_from_seed((config.seed if seed is None else seed)
-                        + INFERENCE_SEED_OFFSET)
-    round_bases = rng.integers(0, 2 ** 64, size=rounds, dtype=np.uint64)
-    mask_seeds = np.array(
-        [derive_stream_seed(int(base), _ROUND_MASK_TAG) for base in round_bases],
-        dtype=np.uint64,
-    )
-    return rng, round_bases, mask_seeds
+    cfg = model.config
+    if cfg.mode != "node_only" or cfg.feature_mask_prob <= 0.0 or rounds < 1:
+        return lambda chunk_rounds: {}
+    table = np.stack([
+        seeded_forward_mask_draws(model.num_features, cfg.feature_mask_prob,
+                                  round_mask_seed(seed, round_index))
+        for round_index in range(rounds)])
+    return lambda chunk_rounds: {"row_masks": table[chunk_rounds]}
+
+
+#: ``sample(targets, round_ids, seeds)`` hook of :func:`sample_target_views`.
+PairSampler = Callable[[np.ndarray, np.ndarray, np.ndarray],
+                       SampledSubgraphBatch]
+
+
+def sample_target_views(graph_like, targets: np.ndarray,
+                        round_ids: np.ndarray, seed: int, config,
+                        sample: Optional[PairSampler] = None):
+    """Sample + build the views of one chunk of (target, round) pairs.
+
+    THE inference view pipeline: each pair's seed is
+    ``derive_target_seeds(sampling_base(seed, round), target)``; ONE
+    vectorized sampling call draws every pair's subgraph from it, and
+    ONE vectorized build produces both batched views, keying the Γ1/Γ2
+    augmentation (``config.augment_at_inference``) off the same seeds.
+    ``sample`` replaces the sampling call — the serving layer answers
+    pairs from its subgraph cache through it; it must return exactly
+    the batch :func:`sample_enclosing_subgraphs` would.  Pure function
+    of ``(topology, seed, pairs)``.  Returns ``(BatchedGraphViews,
+    BatchedHypergraphViews)``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    round_ids = np.asarray(round_ids, dtype=np.int64)
+    seeds = derive_target_seeds(sampling_base(seed, round_ids), targets)
+    if sample is None:
+        batch = sample_enclosing_subgraphs(
+            graph_like, targets, k=config.hop_size,
+            size=config.subgraph_size, target_seeds=seeds)
+    else:
+        batch = sample(targets, round_ids, seeds)
+    # The two builders of build_batched_views, called directly so this
+    # function stays the one view-build stage a chunk is timed under.
+    with obs_trace.span("views.build_batched") as sp:
+        sp.set(pairs=len(targets))
+        return (batch_graph_views_from_subgraphs(batch),
+                batch_hypergraph_views_from_subgraphs(
+                    batch, feature_mask_prob=config.feature_mask_prob,
+                    incidence_drop_prob=config.incidence_drop_prob,
+                    augment=config.augment_at_inference,
+                    target_seeds=seeds))
 
 
 def finalize_scores(node_sum: np.ndarray, node_count: np.ndarray,
@@ -164,8 +243,8 @@ def score_target_span(
 ) -> RoundEvidence:
     """Run the multi-round scoring loop over one span of targets.
 
-    This is the single inner loop shared by the serial scorer, the
-    sharded workers, and the serving layer.  Rounds are a batch axis:
+    This is the single inner loop of every scoring surface (reached
+    through :func:`score_span`).  Rounds are a batch axis:
     the span's ``rounds × len(targets)`` (round, target) pairs are
     flattened round-major and cut into chunks of ``batch_size`` pairs,
     so the loop runs ``⌈R·B / batch_size⌉`` forwards — one forward
@@ -173,11 +252,11 @@ def score_target_span(
     chunk_rounds)`` returns the prepared ``(BatchedGraphViews,
     BatchedHypergraphViews)`` for one chunk (one round index per row);
     ``forward_streams(chunk_rounds)`` returns the keyword arguments
-    that pin the forward pass's per-row RNG streams (see
-    :func:`round_mask_streams`).  Both callbacks must be pure functions
-    of each row's ``(target, round)`` — never of batch layout — which
-    is what makes every caller's output bitwise-identical however the
-    span is split.
+    that pin the forward pass's per-row draws (see
+    :func:`inference_forward_streams`).  Both callbacks must be pure
+    functions of each row's ``(target, round)`` — never of batch
+    layout — which is what makes every caller's output
+    bitwise-identical however the span is split.
 
     Each chunk's node scores are added into ``node_sum`` one per-round
     segment at a time, in round order, and edge evidence is filed per
@@ -246,50 +325,24 @@ def score_target_span(
     return evidence
 
 
-def round_mask_streams(model: Bourne, rounds: int,
-                       round_mask: Callable[[int, int, float],
-                                            Optional[np.ndarray]]):
-    """``forward_streams`` callback giving every row its round's
-    ``node_only`` forward mask.
+def score_span(model: Bourne, graph_like, targets: np.ndarray, seed: int,
+               rounds: int, batch_size: int, backend=None,
+               sample: Optional[PairSampler] = None) -> RoundEvidence:
+    """Score one span of targets on the inference streams of ``seed``.
 
-    ``round_mask(round_index, dim, prob)`` returns round ``r``'s Γ1
-    keep-vector (``None`` when masking is off); the table of ``R``
-    vectors is drawn once and each forward receives ``row_masks`` — one
-    row per (target, round) pair, keyed by the row's round — so a row's
-    mask never depends on which rounds share its chunk.  Modes without a
-    forward mask get no keyword arguments at all.
+    :func:`score_target_span` over :func:`sample_target_views` and
+    :func:`inference_forward_streams` — the one composition every
+    scoring surface runs (``sample`` is the serving cache's hook).
     """
-    cfg = model.config
-    if cfg.mode != "node_only" or cfg.feature_mask_prob <= 0.0 or rounds < 1:
-        return lambda chunk_rounds: {}
-    table = np.stack([round_mask(round_index, model.num_features,
-                                 cfg.feature_mask_prob)
-                      for round_index in range(rounds)])
-    return lambda chunk_rounds: {"row_masks": table[chunk_rounds]}
-
-
-def offline_forward_streams(model: Bourne, mask_seeds: np.ndarray):
-    """``forward_streams`` callback of the offline batched path: each
-    row's ``node_only`` mask is the counter-based draw of its round's
-    ``mask_seeds`` entry."""
-    return round_mask_streams(
-        model, len(mask_seeds),
-        lambda round_index, dim, prob: seeded_forward_mask_draws(
-            dim, prob, int(mask_seeds[round_index])))
-
-
-def offline_view_builder(model: Bourne, graph, round_bases: np.ndarray):
-    """``build_views`` callback of the offline batched path: vectorized
-    sampling + counter-based augmentation keyed by per-``(round,
-    target)`` seeds derived from one base per round."""
-    augment = model.config.augment_at_inference
+    config = model.config
 
     def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
-        target_seeds = derive_target_seeds(round_bases[chunk_rounds], chunk)
-        return model.prepare_batch(graph, chunk, augment=augment,
-                                   target_seeds=target_seeds)
+        return sample_target_views(graph_like, chunk, chunk_rounds, seed,
+                                   config, sample=sample)
 
-    return build
+    return score_target_span(model, targets, rounds, batch_size, build,
+                             inference_forward_streams(model, seed, rounds),
+                             backend=backend)
 
 
 def replay_edge_rounds(edge_sum: np.ndarray, edge_count: np.ndarray,
@@ -328,7 +381,6 @@ def score_graph(
     rounds: Optional[int] = None,
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
-    sampler: str = "batched",
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     planner=None,
@@ -342,22 +394,16 @@ def score_graph(
     rounds:
         Evaluation rounds ``R`` (default from the model config).
     batch_size:
-        Inference batch size (default from the model config).
+        (target, round) pairs per forward (default from the model
+        config); scores do not depend on it.
     seed:
-        Seed for inference-time sampling/augmentation; defaults to the
-        model seed shifted so inference never replays training draws.
-    sampler:
-        ``"batched"`` (default) samples each minibatch through the
-        vectorized pipeline with per-``(round, target)`` seeds, so a
-        node's subgraphs do not depend on ``batch_size``;
-        ``"per_target"`` keeps the legacy per-target loop as a
-        reference/benchmark baseline.
+        Seed of the inference streams (default: the model seed); see
+        :func:`inference_seed`.  ``ScoringService(seed=s)`` scores a
+        static graph bitwise like ``score_graph(seed=s)``.
     workers:
         When > 1, fan the target range out to that many worker
-        processes via :func:`repro.parallel.score_graph_sharded`.  The
-        merged output is bitwise-identical to the serial path with view
-        augmentation on or off — Γ1/Γ2 draws are counter-based, keyed
-        by the same per-``(round, target)`` seeds as sampling.
+        processes via :func:`repro.parallel.score_graph_sharded`; the
+        merged output is bitwise-identical to the serial path.
     shards / planner / pool:
         Forwarded to the sharded engine: number of work shards (default
         ``4 × workers``), the :class:`repro.parallel.ShardPlanner`
@@ -375,62 +421,19 @@ def score_graph(
     rounds = rounds if rounds is not None else cfg.eval_rounds
     batch_size = batch_size if batch_size is not None else cfg.batch_size
     if workers is not None and workers > 1:
-        if sampler != "batched":
-            raise ValueError(
-                "workers > 1 requires sampler='batched' (the per-target "
-                "loop threads one sequential RNG and cannot be sharded)")
         from ..parallel import score_graph_sharded
         return score_graph_sharded(
             model, graph, rounds=rounds, batch_size=batch_size, seed=seed,
             workers=workers, shards=shards, planner=planner, pool=pool,
             backend=backend,
         )
+    model.eval_mode()
+    evidence = score_span(model, graph, np.arange(graph.num_nodes),
+                          inference_seed(cfg, seed), rounds, batch_size,
+                          backend=backend)
+    model.train_mode()
     edge_sum = np.zeros(graph.num_edges)
     edge_count = np.zeros(graph.num_edges)
-
-    model.eval_mode()
-    if sampler == "batched":
-        # One base per round, drawn up front: per-target seeds derive
-        # from (round base, target id) — never from batch layout.  The
-        # accumulation loop itself is score_target_span, shared with
-        # the sharded workers and the serving layer.
-        _, round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
-        evidence = score_target_span(
-            model, np.arange(graph.num_nodes), rounds, batch_size,
-            offline_view_builder(model, graph, round_bases),
-            offline_forward_streams(model, mask_seeds),
-            backend=backend,
-        )
-        node_sum, node_count = evidence.node_sum, evidence.node_count
-        replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
-        model.train_mode()
-        return finalize_scores(node_sum, node_count, edge_sum, edge_count)
-
-    # Legacy per-target reference path: one sequential RNG threads
-    # through sampling, augmentation, and the forward mask, so it
-    # cannot share the counter-based span loop.
-    resolved = resolve_backend(backend)
-    rng = rng_from_seed((cfg.seed if seed is None else seed)
-                        + INFERENCE_SEED_OFFSET)
-    node_sum = np.zeros(graph.num_nodes)
-    node_count = np.zeros(graph.num_nodes)
-    all_nodes = np.arange(graph.num_nodes)
-    for round_index in range(rounds):
-        for start in range(0, graph.num_nodes, batch_size):
-            batch = all_nodes[start:start + batch_size]
-            gviews, hviews = model.prepare_batch(
-                graph, batch, rng=rng, augment=cfg.augment_at_inference,
-                sampler=sampler,
-            )
-            scores = resolved.forward_batch(model, gviews, hviews, rng=rng)
-            if scores.node_scores is not None:
-                values = scores.node_scores.data
-                node_sum[batch] += values
-                node_count[batch] += 1
-            if scores.edge_scores is not None and len(scores.edge_orig_ids):
-                values = scores.edge_scores.data
-                np.add.at(edge_sum, scores.edge_orig_ids, values)
-                np.add.at(edge_count, scores.edge_orig_ids, 1)
-    model.train_mode()
-
-    return finalize_scores(node_sum, node_count, edge_sum, edge_count)
+    replay_edge_rounds(edge_sum, edge_count, rounds, [evidence])
+    return finalize_scores(evidence.node_sum, evidence.node_count,
+                           edge_sum, edge_count)

@@ -6,9 +6,11 @@ Implements Section IV-A to IV-C preprocessing:
 * hypergraph view ``Ĝ*_t = {X̂*_t, M̂*_t}`` — dual transformation,
   Γ1/Γ2 augmentation, and target-edge anonymization (Eq. 7–8),
 
-plus batched containers that stitch the per-target views of a minibatch
-into one block-diagonal operator so each training step costs two sparse
-matmuls instead of ``2B``.
+built for a whole sampled batch at once: the vectorized builders stitch
+every target's views into one block-diagonal operator so each forward
+costs two sparse matmuls instead of ``2B``, with no per-target Python
+loop.  Γ1/Γ2 augmentation is counter-based, keyed by each view's
+sampling seed, so a view is identical however its batch is composed.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ..graph.dual import edge_features
 from ..graph.index import seeded_uniform
 from ..graph.normalize import batched_gcn_operator, block_diag_csr
-from ..graph.sampling import SampledSubgraph, SampledSubgraphBatch
+from ..graph.sampling import SampledSubgraphBatch
 
 
 @dataclass
@@ -61,74 +62,6 @@ class HypergraphView:
     edge_orig_ids: np.ndarray   # (Mtar,) parent-graph edge ids
 
 
-def _inverse_power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """``values**exponent`` with zeros mapped to zero (no warnings)."""
-    out = np.zeros_like(values)
-    positive = values > 0
-    out[positive] = values[positive] ** exponent
-    return out
-
-
-def _dense_gcn_operator(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric GCN normalization of a small dense adjacency (Eq. 4)."""
-    a_tilde = adjacency + np.eye(adjacency.shape[0])
-    inv_sqrt = _inverse_power(a_tilde.sum(axis=1), -0.5)
-    return a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def _dense_hgnn_operator(incidence: np.ndarray) -> np.ndarray:
-    """HGNN propagation of a small dense incidence matrix (Eq. 10)."""
-    dv = _inverse_power(incidence.sum(axis=1), -0.5)
-    de = _inverse_power(incidence.sum(axis=0), -1.0)
-    scaled = incidence * dv[:, None]
-    return (scaled * de[None, :]) @ scaled.T
-
-
-def build_graph_view(sub: SampledSubgraph) -> GraphView:
-    """Anonymize the target node (Eq. 1) and extend the adjacency (Eq. 2)."""
-    ns = sub.num_nodes
-    dim = sub.features.shape[1]
-
-    features = np.zeros((ns + 1, dim))
-    features[1:ns] = sub.features[1:]
-    features[ns] = sub.features[0]          # raw copy of the target
-
-    adjacency = np.zeros((ns + 1, ns + 1))
-    if len(sub.edges):
-        adjacency[sub.edges[:, 0], sub.edges[:, 1]] = 1.0
-        adjacency[sub.edges[:, 1], sub.edges[:, 0]] = 1.0
-    adjacency[ns, ns] = 1.0                 # isolated self-loop of Eq. 2
-    operator = _dense_gcn_operator(adjacency)
-
-    return GraphView(
-        features=features,
-        operator=operator,
-        patch_row=0,
-        target_row=ns,
-        num_context_rows=ns,
-    )
-
-
-def forward_mask_draws(dim: int, prob: float,
-                       rng: np.random.Generator) -> Optional[np.ndarray]:
-    """The Γ1 keep-vector :func:`mask_features` applies (``None`` when
-    masking is disabled).  Consumes exactly the draws the masking
-    helper would — the fused inference kernels call this so their mask
-    matches the reference forward draw-for-draw."""
-    if prob <= 0.0:
-        return None
-    return rng.random(dim) >= prob
-
-
-def mask_features(features: np.ndarray, prob: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Γ1 — zero random feature dimensions with probability ``prob``."""
-    keep = forward_mask_draws(features.shape[1], prob, rng)
-    if keep is None:
-        return features
-    return features * keep[None, :]
-
-
 #: Stream tag of the counter-based forward feature mask (the sampler
 #: owns tags 1 and 2 in :mod:`repro.graph.sampling`).
 _FORWARD_MASK_STREAM = 3
@@ -155,14 +88,11 @@ def seeded_forward_mask_draws(dim: int, prob: float,
 
 def seeded_mask_features(features: np.ndarray, prob: float,
                          seed: int) -> np.ndarray:
-    """Γ1 with counter-based draws: the mask depends on ``seed`` only.
+    """Γ1 — zero random feature dimensions with probability ``prob``.
 
-    Unlike :func:`mask_features`, which consumes a sequential RNG and
-    therefore draws differently depending on how many forwards preceded
-    it, this mask is a pure function of ``(seed, dimension)`` — the same
-    ``splitmix64`` streams the batch sampler uses.  Feeding one seed per
-    evaluation round makes ``node_only`` augmented inference invariant
-    to batch size and to sharding.
+    The mask is a pure function of ``(seed, dimension)`` — the same
+    ``splitmix64`` streams the batch sampler uses — so a masked batch
+    never depends on how many forwards preceded it.
     """
     keep = seeded_forward_mask_draws(features.shape[1], prob, seed)
     if keep is None:
@@ -176,8 +106,8 @@ def per_view_mask_features(features: np.ndarray,
 
     ``features`` stacks ``B`` views of equal row count; view ``b``'s
     rows are multiplied by ``row_masks[b]`` — elementwise the same
-    product :func:`mask_features` applies with a single vector, so a
-    view masked here is bitwise what it is when masked alone.
+    product :func:`seeded_mask_features` applies with a single vector,
+    so a view masked here is bitwise what it is when masked alone.
     """
     views = len(row_masks)
     rows, dim = features.shape
@@ -188,81 +118,6 @@ def per_view_mask_features(features: np.ndarray,
                          f"{views} uniform views")
     return (features.reshape(views, rows // views, dim)
             * row_masks[:, None, :]).reshape(rows, dim)
-
-
-def perturb_incidence(incidence, prob: float,
-                      rng: np.random.Generator):
-    """Γ2 — kick nodes out of hyperedges i.i.d. Bernoulli(``prob``).
-
-    Only incidence entries are dropped; the dual-node count is unchanged
-    (Section IV-A: hyperedge perturbation keeps the node set constant).
-    Zero-degree rows created by the drop are handled by the operator
-    normalization.  Accepts dense arrays or scipy sparse matrices.
-    """
-    if sp.issparse(incidence):
-        if prob <= 0.0 or incidence.nnz == 0:
-            return incidence
-        result = incidence.tocoo()
-        keep = rng.random(result.nnz) >= prob
-        return sp.csr_matrix(
-            (result.data[keep], (result.row[keep], result.col[keep])),
-            shape=incidence.shape,
-        )
-    if prob <= 0.0:
-        return incidence
-    mask = rng.random(incidence.shape) >= prob
-    return incidence * mask
-
-
-def build_hypergraph_view(
-    sub: SampledSubgraph,
-    rng: np.random.Generator,
-    feature_mask_prob: float = 0.2,
-    incidence_drop_prob: float = 0.2,
-    augment: bool = True,
-) -> Optional[HypergraphView]:
-    """Dual-transform, augment (Γ2∘Γ1), and anonymize target edges.
-
-    Returns ``None`` when the subgraph has no edges at all (isolated
-    target) — the caller substitutes a zero context, which maximizes the
-    disagreement score for such degenerate nodes.
-    """
-    ms = sub.num_edges
-    if ms == 0:
-        return None
-    mtar = sub.num_target_edges
-    ns = sub.num_nodes
-    dim = sub.features.shape[1]
-
-    dual_features = edge_features(sub.features, sub.edges)       # (Ms, D)
-    incidence = np.zeros((ms, ns))                               # M* = Mᵀ
-    edge_ids = np.arange(ms)
-    incidence[edge_ids, sub.edges[:, 0]] = 1.0
-    incidence[edge_ids, sub.edges[:, 1]] = 1.0
-
-    if augment:
-        dual_features = mask_features(dual_features, feature_mask_prob, rng)
-        incidence = perturb_incidence(incidence, incidence_drop_prob, rng)
-
-    # Eq. 7: zero the target-edge rows, append their raw features.
-    features = np.zeros((ms + mtar, dim))
-    features[mtar:ms] = dual_features[mtar:]
-    features[ms:] = dual_features[:mtar]
-
-    # Eq. 8: extend the incidence with an identity block for the copies.
-    extended = np.zeros((ms + mtar, ns + mtar))
-    extended[:ms, :ns] = incidence
-    if mtar > 0:
-        extended[ms:, ns:] = np.eye(mtar)
-    operator = _dense_hgnn_operator(extended)
-
-    return HypergraphView(
-        features=features,
-        operator=operator,
-        num_target_edges=mtar,
-        num_context_rows=ms,
-        edge_orig_ids=sub.target_edge_orig_ids.copy(),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +170,9 @@ def batch_graph_views_from_subgraphs(
     Exploits the batch's uniform slot count: features, extended
     adjacencies (Eq. 1–2), and GCN operators are built as one ``(B, …)``
     stack and stitched into the block-diagonal system with pure index
-    arithmetic.  Produces the same :class:`BatchedGraphViews` (bitwise)
-    as ``batch_graph_views([build_graph_view(v) for v in batch.views()])``.
+    arithmetic: per view, the target row is anonymized (features
+    zeroed, edges kept) and its raw features are appended as an
+    isolated self-looped row.
     """
     num_views = len(batch)
     ns = batch.slots
@@ -363,13 +219,10 @@ def batch_graph_views_from_subgraphs(
 
 def batch_hypergraph_views_from_subgraphs(
     batch: SampledSubgraphBatch,
-    rng: Optional[np.random.Generator] = None,
     feature_mask_prob: float = 0.2,
     incidence_drop_prob: float = 0.2,
     augment: bool = True,
     target_seeds: Optional[np.ndarray] = None,
-    feature_masks: Optional[np.ndarray] = None,
-    incidence_keep: Optional[np.ndarray] = None,
 ) -> BatchedHypergraphViews:
     """Dual-transform + augment + batch the hypergraph views, vectorized.
 
@@ -378,26 +231,15 @@ def batch_hypergraph_views_from_subgraphs(
     extended incidences (Eq. 7–8) are computed for the whole batch at
     once, and the block-diagonal HGNN operator falls out of ONE sparse
     product ``(Ŝ·D_e^{-1}) Ŝᵀ`` over the global scaled incidence — no
-    per-view dense matmuls.  With augmentation off, per-block values
-    match :func:`build_hypergraph_view` exactly.  Degenerate targets
-    (no edges) become the same 1-row zero placeholders
-    :func:`batch_hypergraph_views` emits.
+    per-view dense matmuls.  Degenerate targets (no edges) become the
+    same 1-row zero placeholders :func:`batch_hypergraph_views` emits.
 
-    Augmentation draws are **counter-based** when ``target_seeds``
-    (``(B,)`` ``uint64``, normally the per-target sampling seeds) is
-    given: each view's Γ1 mask is a pure function of
-    ``(seed, dimension)`` and each incidence drop of
+    Augmentation (``augment`` with a positive probability) needs
+    ``target_seeds`` (``(B,)`` ``uint64``, the per-target sampling
+    seeds): each view's Γ1 mask is a pure function of
+    ``(seed, dimension)`` and each Γ2 incidence drop of
     ``(seed, local edge, endpoint)``, so augmented views are identical
-    whether a target is built alone, inside any batch, or on any shard
-    — the property sharded training and augmented sharded inference
-    rely on.  Without seeds the legacy path draws sequentially from
-    ``rng`` (same distribution, batch-layout dependent).
-
-    ``feature_masks`` (``(B, D)`` bool) and ``incidence_keep``
-    (``(E, 2)`` bool, one row per sampled edge: keep endpoint 0 / 1)
-    inject *precomputed* Γ1/Γ2 outcomes and take precedence over the
-    ``augment`` flag — the serving layer uses them to replay the legacy
-    per-target ``Generator`` streams through this vectorized builder.
+    whether a target is built alone, inside any batch, or on any shard.
     """
     num_views = len(batch)
     slots = batch.slots
@@ -425,42 +267,30 @@ def batch_hypergraph_views_from_subgraphs(
     dual = 0.5 * (batch.features[slot_rows + batch.edges[:, 0]]
                   + batch.features[slot_rows + batch.edges[:, 1]])
 
-    if target_seeds is not None:
+    mask = augment and feature_mask_prob > 0.0 and num_edges > 0
+    drop = augment and incidence_drop_prob > 0.0 and num_edges > 0
+    if mask or drop:
+        if target_seeds is None:
+            raise ValueError("view augmentation needs target_seeds")
         seeds = np.asarray(target_seeds, dtype=np.uint64).reshape(-1)
         if len(seeds) != num_views:
             raise ValueError(
                 f"target_seeds has {len(seeds)} entries for "
                 f"{num_views} views")
-    else:
-        seeds = None
-    if feature_masks is not None:
-        if num_edges:
-            dual = dual * np.asarray(feature_masks)[edge_view]
-    elif augment and feature_mask_prob > 0.0 and num_edges:
+    if mask:
         # Γ1: one D-dim mask per view.
-        if seeds is not None:
-            dims = np.arange(dim, dtype=np.uint64)
-            masks = seeded_uniform(seeds[:, None], _VIEW_MASK_STREAM,
-                                   dims[None, :]) >= feature_mask_prob
-            dual = dual * masks[edge_view]
-        else:
-            # Legacy sequential draws, one mask per view *with edges*.
-            masks = rng.random((int(has_edges.sum()), dim)) >= feature_mask_prob
-            mask_row = np.cumsum(has_edges) - 1
-            dual = dual * masks[mask_row[edge_view]]
-    if incidence_keep is not None:
-        keep = np.asarray(incidence_keep, dtype=bool).reshape(num_edges, 2)
-    elif augment and incidence_drop_prob > 0.0 and num_edges:
+        dims = np.arange(dim, dtype=np.uint64)
+        masks = seeded_uniform(seeds[:, None], _VIEW_MASK_STREAM,
+                               dims[None, :]) >= feature_mask_prob
+        dual = dual * masks[edge_view]
+    if drop:
         # Γ2: i.i.d. Bernoulli drop per incidence entry (2 per edge).
-        if seeds is not None:
-            ends = np.arange(2, dtype=np.uint64)
-            draws = seeded_uniform(
-                seeds[edge_view][:, None], _VIEW_DROP_STREAM,
-                (local_edge.astype(np.uint64) * np.uint64(2))[:, None]
-                + ends[None, :])
-            keep = draws >= incidence_drop_prob
-        else:
-            keep = rng.random((num_edges, 2)) >= incidence_drop_prob
+        ends = np.arange(2, dtype=np.uint64)
+        draws = seeded_uniform(
+            seeds[edge_view][:, None], _VIEW_DROP_STREAM,
+            (local_edge.astype(np.uint64) * np.uint64(2))[:, None]
+            + ends[None, :])
+        keep = draws >= incidence_drop_prob
     else:
         keep = np.ones((num_edges, 2), dtype=bool)
 
@@ -529,7 +359,6 @@ def batch_hypergraph_views_from_subgraphs(
 
 def build_batched_views(
     batch: SampledSubgraphBatch,
-    rng: Optional[np.random.Generator] = None,
     feature_mask_prob: float = 0.2,
     incidence_drop_prob: float = 0.2,
     augment: bool = True,
@@ -538,13 +367,12 @@ def build_batched_views(
     """Both batched views of a sampled target batch, fully vectorized.
 
     Returns ``(BatchedGraphViews, BatchedHypergraphViews)``; no
-    per-target Python loop on either path.  ``target_seeds`` switches
-    the Γ1/Γ2 augmentation to the counter-based per-target streams (see
-    :func:`batch_hypergraph_views_from_subgraphs`).
+    per-target Python loop on either path.  ``target_seeds`` key the
+    Γ1/Γ2 augmentation (see :func:`batch_hypergraph_views_from_subgraphs`).
     """
     return (batch_graph_views_from_subgraphs(batch),
             batch_hypergraph_views_from_subgraphs(
-                batch, rng=rng,
+                batch,
                 feature_mask_prob=feature_mask_prob,
                 incidence_drop_prob=incidence_drop_prob,
                 augment=augment,

@@ -7,7 +7,7 @@ from .paper_reference import (
     TABLE4_EAD,
     TABLE5_TIME,
 )
-from .profiling import ResourceUsage, measure, profile_call
+from ..obs.profiling import ResourceUsage, measure, profile_call
 from .reporting import format_series, format_table, results_dir, write_csv
 from .runner import (
     DEFAULT,

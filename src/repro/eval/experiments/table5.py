@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 from ...baselines import CoLA, SLGAD
 from ...core import Bourne, BourneTrainer, score_graph
 from ..paper_reference import TABLE5_TIME
-from ..profiling import measure
+from ...obs.profiling import measure
 from ..runner import EvalProfile, bourne_config, get_profile, prepare_graph
 from .common import ExperimentResult
 

@@ -23,7 +23,7 @@ from .admission import (
     TokenBucket,
 )
 from .batcher import MicroBatcher
-from .metrics import (
+from ..obs.metrics import (
     BATCH_BUCKETS,
     LATENCY_BUCKETS,
     Counter,

@@ -13,18 +13,23 @@ HTTP adapter.  A request is a JSON object with an ``op`` field::
     {"op": "compact"}
     {"op": "stats"}
 
+Node ids (``nodes`` entries, ``node``, ``u``, ``v``) must be JSON
+integers: a string, float or boolean id is rejected, never coerced.
+
 Responses echo ``op`` (and ``id`` when the request carried one, so
 pipelining clients can correlate) and set ``ok``.  Errors come back as
 ``{"ok": false, "error": ..., "error_type": ..., "code": ...}`` — the
 same envelope on every transport (``code`` doubles as the HTTP status
 when the request arrived over the HTTP adapter) — and a bad request
 must never take a server down, whichever transport delivered it.
+Every transport writes responses through :func:`encode_response`, so
+no transport ever emits a bare ``NaN`` token.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +73,50 @@ def parse_request(line: str) -> dict:
         raise ValueError(
             f"request must be a JSON object, got {type(request).__name__}")
     return request
+
+
+def node_id(value, field: str = "node") -> int:
+    """A node id from request field ``field``: a JSON integer.
+
+    Strings, floats and booleans raise ``ValueError`` (a 400 envelope)
+    instead of being coerced — ``int("12")``, ``int(2.9)`` and
+    ``int(True)`` would silently address another node.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)):
+        raise ValueError(f"{field!r} must be an integer node id, got "
+                         f"{type(value).__name__} {value!r}")
+    return int(value)
+
+
+def node_ids(value, field: str = "nodes") -> List[int]:
+    """Node ids from request field ``field``: a JSON array of integers."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field!r} must be an array of integer node ids, "
+                         f"got {type(value).__name__} {value!r}")
+    return [node_id(item, f"{field}[{i}]") for i, item in enumerate(value)]
+
+
+def encode_response(response: dict) -> Tuple[dict, str]:
+    """Strict JSON text of one response: the encoder of every transport.
+
+    Encodes with ``allow_nan=False``.  A response carrying a NaN or an
+    infinity (a model with non-finite weights scores NaN) becomes a
+    ``NonFiniteResponse`` error envelope (code 500, ``op``/``id``
+    echoed) instead of a bare ``NaN`` token, which is not JSON.
+    Returns ``(sent, text)``: the response actually encoded and its
+    text.
+    """
+    try:
+        return response, json.dumps(response, allow_nan=False)
+    except ValueError:
+        sent = transport_error(
+            "response carries a non-finite number (NaN or Infinity)",
+            "NonFiniteResponse", 500)
+        for key in ("op", "id"):
+            if key in response:
+                sent[key] = response[key]
+        return sent, json.dumps(sent, allow_nan=False)
 
 
 def error_response(error: BaseException,
@@ -129,12 +178,12 @@ def _dispatch_op(service, request: dict, op,
                  refresh_workers: Optional[int]) -> dict:
     store = service.store
     if op == "score":
-        nodes = [int(n) for n in request["nodes"]]
+        nodes = node_ids(request["nodes"])
         scores = service.score_nodes(nodes)
         return {"ok": True, "op": op,
                 "scores": {str(n): float(s) for n, s in zip(nodes, scores)}}
     if op == "score_edge":
-        u, v = int(request["u"]), int(request["v"])
+        u, v = node_id(request["u"], "u"), node_id(request["v"], "v")
         return {"ok": True, "op": op, "u": u, "v": v,
                 "score": service.score_edge(u, v)}
     if op == "add_node":
@@ -143,12 +192,14 @@ def _dispatch_op(service, request: dict, op,
         return {"ok": True, "op": op, "node": int(node),
                 "version": store.version}
     if op == "add_edge":
-        added = store.add_edge(int(request["u"]), int(request["v"]))
+        added = store.add_edge(node_id(request["u"], "u"),
+                               node_id(request["v"], "v"))
         return {"ok": True, "op": op, "added": bool(added),
                 "version": store.version}
     if op == "update_features":
         features = np.asarray(request["features"], dtype=np.float64)
-        store.update_features([int(request["node"])], features.reshape(1, -1))
+        store.update_features([node_id(request["node"])],
+                              features.reshape(1, -1))
         return {"ok": True, "op": op, "version": store.version}
     if op == "refresh":
         workers = request.get("workers", refresh_workers)

@@ -21,8 +21,8 @@ seam between the transports and the services that lifts that limit:
   single-service gateway's, and every score is bitwise what the
   in-process service returns (the replica workers run
   :func:`~repro.serving.service.score_service_span` /
-  :func:`~repro.serving.service.score_edge_span`, the same
-  counter-based streams the service itself uses).
+  :func:`~repro.serving.service.score_edge_span`, the offline
+  scorer's counter-based streams the service itself uses).
 * **Tenant mode** — :class:`TenantSpec` describes how to build a
   tenant's store + model; the router boots specs lazily on first
   request and evicts idle spec-backed endpoints (they rebuild on the
@@ -43,13 +43,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs import trace as obs_trace
+from ..obs.metrics import MetricsRegistry
 from ..parallel import engine as parallel_engine
 from ..parallel.shm import SharedGraphExport, SharedModelExport
 from ..serving.service import score_edge_span, score_service_span
 from ..tensor.backend import resolve_backend
 from ..utils.logging import get_logger, log_event
 from .batcher import MicroBatcher
-from .metrics import MetricsRegistry
 from .protocol import dispatch_request
 
 LOGGER = get_logger("repro.gateway", json_format=True)

@@ -41,15 +41,18 @@ from typing import Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from ..obs.trace import FlightRecorder, span_tree
 from ..utils.logging import get_logger, log_event
 from .admission import DRAINING, AdmissionController
-from .metrics import LATENCY_BUCKETS, MetricsRegistry
 from .protocol import (
     REQUEST_ERRORS,
     UPDATE_OPS,
     attach_request_id,
+    encode_response,
     error_response,
+    node_id,
+    node_ids,
     parse_request,
     rejection_response,
     transport_error,
@@ -409,9 +412,18 @@ class Gateway:
             text = line.decode("utf-8", errors="replace").strip()
             if text:
                 response = await self._handle_request_line(text, client)
-                writer.write((json.dumps(response) + "\n").encode())
+                _, encoded = self._encode(response)
+                writer.write((encoded + "\n").encode())
                 await writer.drain()
             line = await reader.readline()
+
+    def _encode(self, response: dict) -> Tuple[dict, str]:
+        """:func:`encode_response`; a response that had to become a
+        non-finite error envelope counts as an error."""
+        sent, text = encode_response(response)
+        if sent is not response:
+            self._errors_total.inc()
+        return sent, text
 
     async def _handle_request_line(self, text: str, client: str) -> dict:
         try:
@@ -496,7 +508,7 @@ class Gateway:
                         request: dict) -> dict:
         op = request.get("op")
         if op == "score":
-            nodes = [int(n) for n in request["nodes"]]
+            nodes = node_ids(request["nodes"])
             scores = await asyncio.gather(
                 *(endpoint.score_node(n) for n in nodes),
                 return_exceptions=True)
@@ -507,7 +519,7 @@ class Gateway:
                     "scores": {str(n): float(s)
                                for n, s in zip(nodes, scores)}}
         if op == "score_edge":
-            u, v = int(request["u"]), int(request["v"])
+            u, v = node_id(request["u"], "u"), node_id(request["v"], "v")
             score = await endpoint.score_edge(u, v)
             return {"ok": True, "op": op, "u": u, "v": v, "score": score}
         if op == "reload":
@@ -925,7 +937,10 @@ class Gateway:
             body = payload.encode("utf-8")
             ctype = content_type or "text/plain"
         else:
-            body = (json.dumps(payload) + "\n").encode("utf-8")
+            sent, text = self._encode(payload)
+            if sent is not payload:
+                status = sent["code"]
+            body = (text + "\n").encode("utf-8")
             ctype = content_type or "application/json"
         reason = _REASONS.get(status, "Unknown")
         head = (f"HTTP/1.1 {status} {reason}\r\n"

@@ -86,9 +86,8 @@ def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:
 def batched_gcn_operator(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric GCN normalization of a dense adjacency stack ``(B, n, n)``.
 
-    Per-block results are bitwise identical to
-    :func:`repro.core.views._dense_gcn_operator` on each block alone.
-    Self-loops are added here (Ã = A + I); zero-degree rows get zero
+    Each block is normalized on its own (Eq. 4): ``D̃^{-1/2} Ã D̃^{-1/2}``
+    with self-loops added here (Ã = A + I); zero-degree rows get zero
     coefficients.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)

@@ -55,11 +55,14 @@ def evaluate_guardrail(served_scores: np.ndarray,
     """
     served = np.asarray(served_scores, dtype=np.float64)
     reference = np.asarray(reference_scores, dtype=np.float64)
+    finite = bool(np.isfinite(served).all())
+    # Statistics of non-finite scores are recorded as None: the report
+    # is served as strict JSON on the lifecycle status surface.
     checks: Dict[str, object] = {
-        "finite": bool(np.isfinite(served).all()),
-        "score_std": float(np.std(served)),
+        "finite": finite,
+        "score_std": float(np.std(served)) if finite else None,
     }
-    if not checks["finite"]:
+    if not finite:
         return GuardReport(True, "served model produced non-finite probe "
                            "scores", checks)
     if checks["score_std"] <= min_score_std:

@@ -10,10 +10,11 @@ the candidate was fitted to) over a deterministic held-out probe set:
    label classes, the candidate's ROC-AUC may not fall more than
    ``auc_margin`` below the reference model's on the same probe.
 
-Scoring goes through :func:`repro.serving.service.score_service_span`,
-the pure uncached scorer the sharded refresh workers use — no service
-state is touched, so validation can run off the serving thread against
-models the gateway never served.
+Scoring goes through :func:`repro.serving.service.score_service_span`
+without a cache — the offline scorer's streams and loop, so a probe
+score is bitwise what ``score_graph`` and the service compute.  No
+service state is touched, so validation can run off the serving thread
+against models the gateway never served.
 """
 
 from __future__ import annotations
@@ -79,13 +80,16 @@ def validate_candidate(candidate, reference, graph, probe: np.ndarray, *,
     """
     scores = probe_scores(candidate, graph, probe, seed=seed, rounds=rounds,
                           max_batch=max_batch, backend=backend)
+    finite = bool(np.isfinite(scores).all())
+    # Statistics of non-finite scores are recorded as None: the report
+    # is served as strict JSON on the lifecycle status surface.
     checks: Dict[str, object] = {
         "probe_size": int(len(probe)),
-        "finite": bool(np.isfinite(scores).all()),
-        "score_std": float(np.std(scores)),
-        "score_mean": float(np.mean(scores)),
+        "finite": finite,
+        "score_std": float(np.std(scores)) if finite else None,
+        "score_mean": float(np.mean(scores)) if finite else None,
     }
-    if not checks["finite"]:
+    if not finite:
         return ValidationReport(False, "candidate produced non-finite probe "
                                 "scores", checks)
     if checks["score_std"] <= min_score_std:

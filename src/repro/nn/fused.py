@@ -42,7 +42,6 @@ from ..core.model import BatchScores, Bourne
 from ..core.views import (
     BatchedGraphViews,
     BatchedHypergraphViews,
-    forward_mask_draws,
     seeded_forward_mask_draws,
 )
 from ..tensor.autograd import Tensor
@@ -259,15 +258,10 @@ class FusedInferenceKernel:
         model: Bourne,
         gviews: BatchedGraphViews,
         hviews: BatchedHypergraphViews,
-        rng=None,
         mask_seed=None,
         row_masks=None,
     ) -> Optional[BatchScores]:
-        """Fused scores for one batch, or ``None`` to request fallback.
-
-        The fallback decision is made before any RNG draw, so a
-        degraded call consumes exactly the stream the reference will.
-        """
+        """Fused scores for one batch, or ``None`` to request fallback."""
         compiled = self.refresh(model)
         if not compiled.supported:
             self.fallbacks += 1
@@ -279,7 +273,7 @@ class FusedInferenceKernel:
         if compiled.mode == "unified":
             return self._forward_unified(compiled, gviews, hviews)
         return self._forward_node_only(
-            compiled, gviews, model, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+            compiled, gviews, mask_seed=mask_seed, row_masks=row_masks
         )
 
     def _graph_operator(self, gviews: BatchedGraphViews) -> np.ndarray:
@@ -395,23 +389,21 @@ class FusedInferenceKernel:
         )
 
     def _forward_node_only(
-        self, compiled, gviews, model, rng=None, mask_seed=None, row_masks=None
+        self, compiled, gviews, mask_seed=None, row_masks=None
     ) -> BatchScores:
         feats3 = self._features3(gviews)
         batch, size, dim = feats3.shape
         ops32, h_t, _, _ = self._online_graph_branch(compiled, gviews, feats3)
 
-        # Γ1 forward mask — exactly the draws the reference consumes;
-        # per-row masks (one per (target, round) pair) win, as there.
+        # Γ1 forward mask — exactly the reference's; per-row masks (one
+        # per (target, round) pair) win, as there, and neither means none.
+        keep = None
         if row_masks is not None:
             keep = row_masks[:, None, :]
         elif mask_seed is not None:
             keep = seeded_forward_mask_draws(
                 dim, compiled.feature_mask_prob, mask_seed
             )
-        else:
-            stream = rng if rng is not None else model.sample_rng
-            keep = forward_mask_draws(dim, compiled.feature_mask_prob, stream)
         if keep is None:
             masked = feats3
         else:
@@ -461,16 +453,14 @@ class FusedBackend(TensorBackend):
             self._kernels[model] = kernel
         return kernel
 
-    def forward_batch(
-        self, model, gviews, hviews, rng=None, mask_seed=None, row_masks=None
-    ):
+    def forward_batch(self, model, gviews, hviews, mask_seed=None, row_masks=None):
         kernel = self.kernel_for(model)
         scores = kernel.forward(
-            model, gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+            model, gviews, hviews, mask_seed=mask_seed, row_masks=row_masks
         )
         if scores is None:
             return model.forward_batch(
-                gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+                gviews, hviews, mask_seed=mask_seed, row_masks=row_masks
             )
         return scores
 

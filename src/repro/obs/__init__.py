@@ -10,7 +10,7 @@ Three pieces, one import surface:
   registry promoted from the gateway, plus the process-wide
   :data:`GLOBAL_REGISTRY` every layer may record into.
 * :mod:`repro.obs.profiling` — the one wall-clock/peak-memory timing
-  utility (folded in from ``repro.eval.profiling``).
+  utility.
 
 Tracing is off unless a recorder is installed (the gateway installs
 one by default; ``repro trace --profile`` installs one for a run), and

@@ -1,7 +1,6 @@
 """Repo-wide metrics: counters, gauges, histograms, Prometheus text.
 
-Promoted from ``repro.gateway.metrics`` (which re-exports for compat)
-so every layer — serving, graph, parallel, core — can record into one
+Every layer — serving, graph, parallel, core — can record into one
 process-wide registry instead of the gateway owning the only one.  The
 asyncio event loop, the batcher's scoring thread, and trainer threads
 all record into plain Python ints/floats (GIL-atomic enough for

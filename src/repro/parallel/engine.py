@@ -39,16 +39,13 @@ from ..core.scoring import (
     AnomalyScores,
     RoundEvidence,
     finalize_scores,
-    inference_round_streams,
+    inference_seed,
     mean_edge_rounds,
-    offline_forward_streams,
-    offline_view_builder,
     replay_edge_rounds,
-    score_target_span,
+    score_span,
 )
 from ..graph.index import index_of
 from ..obs import trace as obs_trace
-from ..serving import service as serving_service
 from ..tensor.backend import resolve_backend
 from .planner import ContiguousShardPlanner, ShardPlanner, validate_plan
 from .shm import (
@@ -257,7 +254,7 @@ class WorkerPool:
 class ShardScore(RoundEvidence):
     """One worker's :class:`RoundEvidence` plus its shard placement.
 
-    Both worker kinds run the *same* ``score_target_span`` loop the
+    Workers run the *same* :func:`repro.core.scoring.score_span` the
     serial scorer and the in-process service run — bitwise equivalence
     is structural, not mirrored code.
 
@@ -292,90 +289,55 @@ def _as_shard_score(
 
 
 def _score_shard(task: tuple) -> ShardScore:
-    """Score one contiguous target shard (runs in a worker process).
+    """Score one shard of targets (runs in a worker process).
 
-    Runs the shared span loop with the offline view builder: identical
-    per-round bases, identical per-target seeds (which drive sampling
-    *and* view augmentation), identical per-round forward mask seeds —
-    only the batch boundaries are shard-local, which the
-    batch-invariant pipeline makes unobservable.
+    Runs :func:`repro.core.scoring.score_span` — the serial scorer's and
+    the service's span scorer, minus the service's cache — on the
+    shared graph, so every draw and every sum is bitwise what the
+    serial path computes; only the batch boundaries are shard-local,
+    which the batch-invariant pipeline makes unobservable.  ``span``
+    names the trace span the worker's records are shipped under.
     """
-    graph_ref, model_ref = task[0], task[1]
     (
+        graph_ref,
+        model_ref,
+        targets,
         start,
-        stop,
-        round_bases,
-        mask_seeds,
+        seed,
+        rounds,
         batch_size,
         fail,
         want_spans,
         backend_name,
-    ) = task[2:]
+        span,
+    ) = task
     if fail:
-        raise RuntimeError(f"injected failure in shard [{start}, {stop})")
+        raise RuntimeError(f"injected failure in {span}")
     graph = _ensure_graph(graph_ref)
     model = _ensure_model(model_ref)
     model.eval_mode()
+    stop = start + len(targets)
 
     def run() -> RoundEvidence:
-        return score_target_span(
+        return score_span(
             model,
-            np.arange(start, stop, dtype=np.int64),
-            len(round_bases),
+            graph,
+            targets,
+            seed,
+            rounds,
             batch_size,
-            offline_view_builder(model, graph, round_bases),
-            offline_forward_streams(model, mask_seeds),
             backend=resolve_backend(backend_name),
         )
 
     if want_spans:
         with obs_trace.capture_spans(
-            "parallel.score_shard", start=int(start), stop=int(stop)
+            span, start=int(start), stop=int(stop), targets=len(targets)
         ) as shipped:
             evidence = run()
         return _as_shard_score(evidence, start, stop, spans=shipped)
     with obs_trace.clear_context():
         evidence = run()
     return _as_shard_score(evidence, start, stop)
-
-
-def _service_score_shard(task: tuple) -> ShardScore:
-    """Score one shard of a service miss queue (runs in a worker).
-
-    Runs ``ScoringService``'s own span scorer
-    (:func:`repro.serving.service.score_service_span`, minus the cache),
-    so every score is bitwise what the in-process service would produce.
-    """
-    (
-        graph_ref,
-        model_ref,
-        targets,
-        seed,
-        rounds,
-        max_batch,
-        fail,
-        want_spans,
-        backend_name,
-    ) = task
-    if fail:
-        raise RuntimeError("injected failure in service shard")
-    graph = _ensure_graph(graph_ref)
-    model = _ensure_model(model_ref)
-    model.eval_mode()
-    backend = resolve_backend(backend_name)
-    if want_spans:
-        with obs_trace.capture_spans(
-            "parallel.refresh_shard", targets=len(targets)
-        ) as shipped:
-            evidence = serving_service.score_service_span(
-                model, graph, targets, seed, rounds, max_batch, backend=backend
-            )
-        return _as_shard_score(evidence, 0, len(targets), spans=shipped)
-    with obs_trace.clear_context():
-        evidence = serving_service.score_service_span(
-            model, graph, targets, seed, rounds, max_batch, backend=backend
-        )
-    return _as_shard_score(evidence, 0, len(targets))
 
 
 def _plan_shards(
@@ -429,7 +391,7 @@ def score_graph_sharded(
     rounds = rounds if rounds is not None else cfg.eval_rounds
     batch_size = batch_size if batch_size is not None else cfg.batch_size
     backend_name = resolve_backend(backend).name
-    _, round_bases, mask_seeds = inference_round_streams(cfg, rounds, seed)
+    stream_seed = inference_seed(cfg, seed)
 
     index = index_of(graph)
     num_nodes = index.num_nodes
@@ -448,14 +410,15 @@ def score_graph_sharded(
                 (
                     graph_ref,
                     model_ref,
+                    np.arange(start, stop, dtype=np.int64),
                     start,
-                    stop,
-                    round_bases,
-                    mask_seeds,
+                    stream_seed,
+                    rounds,
                     batch_size,
                     shard_index == _fail_shard,
                     want_spans,
                     backend_name,
+                    "parallel.score_shard",
                 )
                 for shard_index, (start, stop) in enumerate(plan)
             ]
@@ -521,16 +484,18 @@ def service_refresh_scores(
                     graph_ref,
                     model_ref,
                     targets[start:stop],
+                    start,
                     service.seed,
                     service.rounds,
                     service.max_batch,
                     shard_index == _fail_shard,
                     want_spans,
                     service.backend.name,
+                    "parallel.refresh_shard",
                 )
                 for shard_index, (start, stop) in enumerate(plan)
             ]
-            results = pool.run(_service_score_shard, tasks, label="sharded refresh")
+            results = pool.run(_score_shard, tasks, label="sharded refresh")
             for result in results:
                 obs_trace.adopt_spans(result.spans)
     finally:

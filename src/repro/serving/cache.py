@@ -2,10 +2,11 @@
 
 Entries are keyed by ``(target, round)`` and tagged with the store
 version at sampling time.  Each entry holds that pair's sampled
-enclosing subgraph row (its own copies of the slot ids, feature rows
-and slot edges — never a slice pinning a whole sampled batch) plus its
-Γ1/Γ2 augmentation outcome; views are built from entries at batch
-time, so hits and misses of one chunk share a single vectorized build.
+enclosing subgraph row only (its own copies of the slot ids, feature
+rows and slot edges — never a slice pinning a whole sampled batch);
+views and their Γ1/Γ2 augmentation are built from entries at batch
+time, keyed by the pair's seed, so hits and misses of one chunk share
+a single vectorized build.
 
 Lookups pass the target's current ``region_version``: an entry older
 than the last mutation affecting the target's neighbourhood is
@@ -29,18 +30,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
-import numpy as np
-
 from ..graph.sampling import SampledSubgraph
 
 
 @dataclass
 class CacheEntry:
-    """One ``(target, round)`` pair: sampled subgraph + Γ1/Γ2 outcome."""
+    """One ``(target, round)`` pair's sampled subgraph row."""
 
     sub: SampledSubgraph
-    feature_mask: Optional[np.ndarray]    # (D,) Γ1 keep-vector, or None
-    incidence_keep: Optional[np.ndarray]  # (Ms, 2) Γ2 keep flags, or None
     version: int                          # store.version at sampling time
 
 

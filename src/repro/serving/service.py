@@ -4,26 +4,26 @@
 checkpoint into a long-lived scorer over a mutable
 :class:`~repro.serving.store.GraphStore`:
 
-* **Rounds as a batch axis** — pending requests are resolved at
-  ``flush()`` time by the shared span loop
-  (:func:`repro.core.scoring.score_target_span`), which flattens the
-  request's ``R × B`` (round, target) pairs into chunks of
-  ``max_batch`` pairs: ``⌈R·B / max_batch⌉`` forwards per flush, so a
-  cold single-node request at ``R = 160`` is one forward, not 160.
-* **Deterministic per-pair streams** — every draw is a pure function of
-  ``(seed, round, target)``: sampling seeds fold the round's
-  :func:`sampling_base` with the target id, Γ1/Γ2 outcomes come from
-  :func:`view_rng`, and the ``node_only`` forward mask of a row is the
-  first draw of its round's :func:`forward_rng`.  A node's score
-  therefore never depends on which other requests shared its batch or
-  on the mutation history that produced the store — the property the
-  serving-equivalence tests pin down bitwise.
-* **One pair builder** — :func:`sample_target_views` samples a chunk's
-  pairs in one vectorized call and builds both views once; with the
-  version-aware :class:`~repro.serving.cache.SubgraphCache` it answers
-  hits from cached sampled rows and builds hits and misses together.
-  The store's dirty-region tracking invalidates exactly the
-  neighbourhoods a mutation could have changed.
+* **The offline streams and pipeline** — pending requests are resolved
+  at ``flush()`` time by :func:`repro.core.scoring.score_span`, the
+  span scorer :func:`repro.core.score_graph` runs: every draw is a pure
+  function of ``(seed, round, target)`` on the one inference stream
+  scheme, and the service's stream seed is
+  :func:`repro.core.scoring.inference_seed` of the model config, as
+  offline.  On a static graph a served score is therefore bitwise the
+  offline score of the same model and seed, and a node's score never
+  depends on which other requests shared its batch or on the mutation
+  history that produced the store.
+* **Rounds as a batch axis** — a request's ``R × B`` (round, target)
+  pairs are flattened into chunks of ``max_batch`` pairs:
+  ``⌈R·B / max_batch⌉`` forwards per flush, so a cold single-node
+  request at ``R = 160`` is one forward, not 160.
+* **Subgraph cache** — the only serving-specific stage:
+  :func:`score_service_span` answers pairs from the version-aware
+  :class:`~repro.serving.cache.SubgraphCache` (sampled rows only; the
+  views and their Γ1/Γ2 augmentation are rebuilt from the pair seeds)
+  and samples just the misses.  The store's dirty-region tracking
+  invalidates exactly the neighbourhoods a mutation could have changed.
 * **Incremental refresh** — :meth:`refresh` maintains a full score
   table and re-scores only nodes whose region changed since they were
   last scored, which is what makes per-mutation rescoring cheap.
@@ -38,244 +38,99 @@ import numpy as np
 
 from ..core.model import Bourne
 from ..core.scoring import (
+    PairSampler,
     RoundEvidence,
+    inference_seed,
     mean_edge_rounds,
-    round_mask_streams,
-    score_target_span,
-)
-from ..core.views import (
-    batch_graph_views_from_subgraphs,
-    batch_hypergraph_views_from_subgraphs,
-    forward_mask_draws,
+    # Re-exported: the serving pair pipeline is the offline one, and
+    # callers and span hooks keep addressing it here.
+    sample_target_views,  # noqa: F401
+    score_span,
 )
 from ..graph.graph import Graph
-from ..graph.index import derive_stream_seed, derive_target_seeds, splitmix64
 from ..graph.sampling import SampledSubgraphBatch, sample_enclosing_subgraphs
 from ..obs import trace as obs_trace
 from ..tensor.backend import resolve_backend
 from .cache import CacheEntry, SubgraphCache
 from .store import GraphStore
 
-#: Offset keeping serving RNG streams disjoint from training draws
-#: (same constant the offline scorer uses).
-_SEED_OFFSET = 104729
-
 #: Sampling-relevant config fields; a hot-swapped model with identical
 #: values (and an unchanged serving seed) can keep the warm subgraph
 #: cache — sampled pairs depend on topology and these knobs only,
 #: never weights.
-_SAMPLING_FIELDS = ("hop_size", "subgraph_size", "feature_mask_prob",
-                    "incidence_drop_prob", "augment_at_inference")
+_SAMPLING_FIELDS = ("hop_size", "subgraph_size")
 
 
-# ----------------------------------------------------------------------
-# Deterministic serving streams (module-level so the sharded refresh
-# workers replay the exact streams the in-process service uses)
-# ----------------------------------------------------------------------
-def sampling_base(seed: int, round_index) -> np.ndarray:
-    """Base of the counter-based sampling seeds of a round —
-    ``derive_stream_seed(seed, 0, round)``, vectorized: ``round_index``
-    may be one round or an array with one round per (target, round)
-    pair.  The batch sampler folds each base with its target id, so
-    draws depend on ``(seed, round, target)`` only — never on batch
-    layout."""
-    rounds = np.asarray(round_index, dtype=np.uint64)
-    return splitmix64(derive_stream_seed(seed, 0) ^ splitmix64(rounds))
-
-
-def view_rng(seed: int, target: int, round_index: int) -> np.random.Generator:
-    """Per-``(target, round)`` stream for view augmentation."""
-    return np.random.default_rng((seed, 0, round_index, int(target)))
-
-
-def forward_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Per-round forward stream; the ``node_only`` mask of every row of
-    round ``round_index`` is its first draw."""
-    return np.random.default_rng((seed, 1, round_index))
-
-
-def service_forward_streams(model: Bourne, seed: int, rounds: int):
-    """``forward_streams`` callback of the serving span loop: each row's
-    ``node_only`` mask is the first draw of its round's
-    :func:`forward_rng`."""
-    return round_mask_streams(
-        model, rounds,
-        lambda round_index, dim, prob: forward_mask_draws(
-            dim, prob, forward_rng(seed, round_index)))
-
-
-def _draw_view_augmentation(batch, targets: np.ndarray,
-                            round_ids: np.ndarray, seed: int,
-                            mask_prob: float, drop_prob: float):
-    """Γ1/Γ2 outcomes for a sampled chunk of (target, round) pairs from
-    the per-pair ``Generator`` streams.
-
-    Replays exactly the draws ``build_hypergraph_view(sub,
-    view_rng(seed, target, round))`` would consume — first the ``(D,)``
-    feature mask (only when ``mask_prob > 0``), then the ``(Ms, slots)``
-    incidence-drop matrix (only when ``drop_prob > 0``); degenerate
-    targets draw nothing.  Returns ``(feature_masks, incidence_keep)``
-    for :func:`batch_hypergraph_views_from_subgraphs` (``None`` for
-    whichever augmentation is disabled).
-    """
-    num_views = len(batch)
-    slots = batch.slots
-    dim = batch.features.shape[1]
-    edge_counts = np.diff(batch.edge_offsets)
-    masks = np.ones((num_views, dim), dtype=bool) if mask_prob > 0.0 else None
-    keep = (np.ones((len(batch.edges), 2), dtype=bool)
-            if drop_prob > 0.0 else None)
-    if masks is None and keep is None:
-        return None, None
-    for i, (target, round_index) in enumerate(zip(targets, round_ids)):
-        ms = int(edge_counts[i])
-        if ms == 0:
-            continue
-        rng = view_rng(seed, int(target), int(round_index))
-        if masks is not None:
-            masks[i] = rng.random(dim) >= mask_prob
-        if keep is not None:
-            e0 = int(batch.edge_offsets[i])
-            local = batch.edges[e0:e0 + ms]
-            mat = rng.random((ms, slots)) >= drop_prob
-            rows = np.arange(ms)
-            keep[e0:e0 + ms, 0] = mat[rows, local[:, 0]]
-            keep[e0:e0 + ms, 1] = mat[rows, local[:, 1]]
-    return masks, keep
-
-
-def _sample_pairs(graph_like, targets: np.ndarray, round_ids: np.ndarray,
-                  seed: int, config):
-    """``(batch, feature_masks, incidence_keep)`` of a chunk of pairs:
-    ONE batch sampling call seeded per pair, then the per-pair Γ1/Γ2
-    streams."""
-    seeds = derive_target_seeds(sampling_base(seed, round_ids), targets)
-    sampled = sample_enclosing_subgraphs(
-        graph_like, targets, k=config.hop_size,
-        size=config.subgraph_size, target_seeds=seeds)
-    masks = keep = None
-    if config.augment_at_inference:
-        masks, keep = _draw_view_augmentation(
-            sampled, targets, round_ids, seed,
-            config.feature_mask_prob, config.incidence_drop_prob)
-    return sampled, masks, keep
-
-
-def _entry_of(batch, masks, keep, i: int, version: int) -> CacheEntry:
+def _entry_of(batch: SampledSubgraphBatch, i: int,
+              version: int) -> CacheEntry:
     """Cache entry of pair ``i`` — copies, so it pins no batch array."""
     view = batch.view(i)
-    e0, e1 = int(batch.edge_offsets[i]), int(batch.edge_offsets[i + 1])
     view.node_ids = view.node_ids.copy()
     view.features = view.features.copy()
     view.edges = view.edges.copy()
     view.edge_orig_ids = view.edge_orig_ids.copy()
-    return CacheEntry(
-        sub=view,
-        feature_mask=None if masks is None else masks[i].copy(),
-        incidence_keep=None if keep is None else keep[e0:e1].copy(),
-        version=version)
+    return CacheEntry(sub=view, version=version)
 
 
-def _stack_entries(entries: Sequence[CacheEntry]):
-    """One chunk's ``(batch, feature_masks, incidence_keep)`` from its
-    pairs' entries, in pair order."""
-    batch = SampledSubgraphBatch.from_views([entry.sub for entry in entries])
-    masks = keep = None
-    if entries[0].feature_mask is not None:
-        masks = np.stack([entry.feature_mask for entry in entries])
-    if entries[0].incidence_keep is not None:
-        keep = np.concatenate([entry.incidence_keep for entry in entries])
-    return batch, masks, keep
+def cached_sampler(store, config, cache: SubgraphCache) -> PairSampler:
+    """``sample`` hook of :func:`repro.core.scoring.sample_target_views`
+    answering pairs from ``cache`` where it can: hits come back from
+    their entries, misses are sampled in one call and written back, and
+    the chunk is put together in pair order — exactly the batch the
+    uncached sampler returns, because a valid entry is what re-sampling
+    the same ``(target, round)`` seed would give."""
 
+    def sample(targets: np.ndarray, round_ids: np.ndarray,
+               seeds: np.ndarray) -> SampledSubgraphBatch:
+        with obs_trace.span("service.view_cache") as sp:
+            entries: List[Optional[CacheEntry]] = [
+                cache.get((int(target), int(round_index)),
+                          store.region_version(int(target)))
+                for target, round_index in zip(targets, round_ids)]
+            misses = [i for i, entry in enumerate(entries) if entry is None]
+            sp.set(pairs=len(targets), hits=len(targets) - len(misses),
+                   misses=len(misses))
+        if misses:
+            miss = np.asarray(misses, dtype=np.int64)
+            sampled = sample_enclosing_subgraphs(
+                store, targets[miss], k=config.hop_size,
+                size=config.subgraph_size, target_seeds=seeds[miss])
+            # A zero-size cache stores nothing, so it never hits and
+            # every chunk takes the all-miss return: skip the entries.
+            if cache.maxsize:
+                version = store.version
+                for j, i in enumerate(misses):
+                    entries[i] = cache.put(
+                        (int(targets[i]), int(round_ids[i])),
+                        _entry_of(sampled, j, version))
+            if len(misses) == len(targets):
+                return sampled
+        return SampledSubgraphBatch.from_views(
+            [entry.sub for entry in entries])
 
-def _cached_pairs(store, targets: np.ndarray, round_ids: np.ndarray,
-                  seed: int, config, cache: SubgraphCache):
-    """:func:`_sample_pairs` answered from ``cache`` where it can be:
-    hits come back from their entries, misses are sampled in one call
-    and written back, and the chunk is put together in pair order."""
-    with obs_trace.span("service.view_cache") as sp:
-        entries: List[Optional[CacheEntry]] = [
-            cache.get((int(target), int(round_index)),
-                      store.region_version(int(target)))
-            for target, round_index in zip(targets, round_ids)]
-        misses = [i for i, entry in enumerate(entries) if entry is None]
-        sp.set(pairs=len(targets), hits=len(targets) - len(misses),
-               misses=len(misses))
-    if not misses:
-        return _stack_entries(entries)
-    miss = np.asarray(misses, dtype=np.int64)
-    sampled, masks, keep = _sample_pairs(store, targets[miss],
-                                         round_ids[miss], seed, config)
-    # A zero-size cache stores nothing, so it never hits and every
-    # chunk takes the all-miss return below: skip building entries.
-    if cache.maxsize:
-        version = store.version
-        for j, i in enumerate(misses):
-            entries[i] = cache.put(
-                (int(targets[i]), int(round_ids[i])),
-                _entry_of(sampled, masks, keep, j, version))
-    if len(misses) == len(targets):
-        return sampled, masks, keep
-    return _stack_entries(entries)
-
-
-def sample_target_views(graph_like, targets: np.ndarray,
-                        round_ids: np.ndarray, seed: int, config,
-                        cache: Optional[SubgraphCache] = None):
-    """Sample + build the views of one chunk of (target, round) pairs.
-
-    THE serving pair builder: one vectorized batch sampling call seeded
-    per pair from :func:`sampling_base`, the per-pair Γ1/Γ2 streams,
-    then ONE vectorized build of both batched views straight from the
-    sampled rows (no per-target views).  With a ``cache`` (the service
-    passes its :class:`SubgraphCache`; ``graph_like`` is then the
-    store), pairs are looked up first and only misses are sampled.
-    Pure function of
-    ``(topology, seed, pairs)`` — the service, the sharded refresh
-    workers, router replicas and lifecycle probes all call it, which is
-    what keeps their scores bitwise-identical.  Returns
-    ``(BatchedGraphViews, BatchedHypergraphViews)``.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    round_ids = np.asarray(round_ids, dtype=np.int64)
-    if cache is None:
-        batch, masks, keep = _sample_pairs(graph_like, targets, round_ids,
-                                           seed, config)
-    else:
-        batch, masks, keep = _cached_pairs(graph_like, targets, round_ids,
-                                           seed, config, cache)
-    with obs_trace.span("views.build_batched") as sp:
-        sp.set(pairs=len(targets))
-        return (batch_graph_views_from_subgraphs(batch),
-                batch_hypergraph_views_from_subgraphs(
-                    batch, augment=False,
-                    feature_masks=masks, incidence_keep=keep))
+    return sample
 
 
 def score_service_span(model: Bourne, graph_like, targets: np.ndarray,
                        seed: int, rounds: int, max_batch: int,
-                       backend=None) -> RoundEvidence:
-    """Uncached service-stream scoring of one target span.
+                       backend=None,
+                       cache: Optional[SubgraphCache] = None) -> RoundEvidence:
+    """The service's scoring of one target span.
 
-    Runs the same :func:`repro.core.scoring.score_target_span` loop as
-    ``ScoringService._score_span`` with the same per-``(seed, round,
-    target)`` streams — the sharded refresh workers, router replicas
-    and lifecycle probes call this, which is what makes them
-    bitwise-identical to the in-process service.  ``backend`` names the
+    :func:`repro.core.scoring.score_span` — the offline scorer's
+    streams, pipeline and accumulation loop — plus, when ``cache`` is
+    given (``graph_like`` is then the store), the subgraph-cache
+    lookup.  ``ScoringService`` calls it with its cache; the sharded
+    refresh workers, router replicas and lifecycle probes call it
+    without, and all of them are bitwise what the offline scorer
+    computes on the same graph, model and seed.  ``backend`` names the
     compute backend (workers receive the parent service's backend name
     and resolve it locally).
     """
-    config = model.config
-
-    def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
-        return sample_target_views(graph_like, chunk, chunk_rounds, seed,
-                                   config)
-
-    return score_target_span(
-        model, targets, rounds, max_batch, build,
-        service_forward_streams(model, seed, rounds),
-        backend=backend,
-    )
+    sample = (None if cache is None
+              else cached_sampler(graph_like, model.config, cache))
+    return score_span(model, graph_like, targets, seed, rounds, max_batch,
+                      backend=backend, sample=sample)
 
 
 def edge_mean_from_evidence(endpoint_scores: np.ndarray,
@@ -365,8 +220,10 @@ class ScoringService:
     rounds:
         Evaluation rounds ``R`` per score (default: model config).
     seed:
-        Base seed of the serving RNG streams (default: model seed +
-        the inference offset, mirroring the offline scorer).
+        Seed of the inference streams (default: the model seed); the
+        streams are :func:`repro.core.scoring.inference_seed`'s, so
+        ``ScoringService(seed=s)`` serves bitwise what
+        ``score_graph(seed=s)`` computes on the same static graph.
     cache_size:
         Capacity of the pair cache in ``(target, round)`` entries.
     max_batch:
@@ -400,8 +257,8 @@ class ScoringService:
         self.rounds = rounds if rounds is not None else cfg.eval_rounds
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        self._explicit_seed = seed is not None
-        self.seed = (cfg.seed + _SEED_OFFSET) if seed is None else seed
+        self._seed_arg = seed
+        self.seed = inference_seed(cfg, seed)
         self.max_batch = max_batch if max_batch is not None else cfg.batch_size
         self.backend = resolve_backend(backend)
         self.cache = SubgraphCache(cache_size)
@@ -612,8 +469,7 @@ class ScoringService:
         """
         self._check_model(model)
         old_cfg, new_cfg = self.model.config, model.config
-        new_seed = (self.seed if self._explicit_seed
-                    else new_cfg.seed + _SEED_OFFSET)
+        new_seed = inference_seed(new_cfg, self._seed_arg)
         same_sampling = new_seed == self.seed and all(
             getattr(old_cfg, f) == getattr(new_cfg, f)
             for f in _SAMPLING_FIELDS)
@@ -638,26 +494,17 @@ class ScoringService:
     def _score_span(self, targets: np.ndarray):
         """Score ``targets`` and return ``(scores, edge_means)``.
 
-        Runs the shared :func:`repro.core.scoring.score_target_span`
-        loop — the same accumulation the offline scorer and the sharded
-        refresh workers run — with :func:`sample_target_views` answering
-        each chunk of (target, round) pairs through the version-aware
-        pair cache.  ``edge_means`` is THIS call's per-edge-id evidence
-        (folded into the evidence table as a side effect).
+        Runs :func:`score_service_span` — the offline scorer's span
+        loop with the version-aware pair cache answering each chunk of
+        (target, round) pairs.  ``edge_means`` is THIS call's
+        per-edge-id evidence (folded into the evidence table as a side
+        effect).
         """
-        config = self.model.config
-
-        def build(chunk: np.ndarray, chunk_rounds: np.ndarray):
-            return sample_target_views(self.store, chunk, chunk_rounds,
-                                       self.seed, config, cache=self.cache)
-
         with obs_trace.span("service.score_span") as sp:
             sp.set(targets=len(targets), rounds=self.rounds)
-            evidence = score_target_span(
-                self.model, targets, self.rounds, self.max_batch, build,
-                service_forward_streams(self.model, self.seed, self.rounds),
-                backend=self.backend,
-            )
+            evidence = score_service_span(
+                self.model, self.store, targets, self.seed, self.rounds,
+                self.max_batch, backend=self.backend, cache=self.cache)
         self._forward_batches += evidence.forward_batches
         version = self.store.version
         means = mean_edge_rounds(self.rounds, [evidence])

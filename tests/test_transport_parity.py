@@ -45,9 +45,26 @@ def make_service(rounds=1, seed=3):
     return ScoringService(model, store, rounds=rounds)
 
 
-def run_with_gateway(client, **gateway_kwargs):
+def nan_service():
+    """A service whose model has non-finite weights: every score is NaN."""
+    service = make_service()
+    for param in service.model.trainable_parameters():
+        param.data[...] = np.nan
+    return service
+
+
+def strict_json(text):
+    """Parse ``text`` as strict JSON: a bare NaN/Infinity token fails."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def run_with_gateway(client, service=None, **gateway_kwargs):
     async def scenario():
-        gateway = Gateway(make_service(), **gateway_kwargs)
+        gateway = Gateway(service if service is not None else make_service(),
+                          **gateway_kwargs)
         host, port = await gateway.start("127.0.0.1", 0)
         try:
             return await client(gateway, host, port)
@@ -62,7 +79,7 @@ async def ndjson_raw(host, port, line: str) -> dict:
     try:
         writer.write((line + "\n").encode())
         await writer.drain()
-        return json.loads(await reader.readline())
+        return strict_json(await reader.readline())
     finally:
         writer.close()
         await writer.wait_closed()
@@ -90,7 +107,7 @@ async def http_raw(host, port, head: str, payload: bytes = b""):
         body = await reader.read()
         if "content-length" in headers:
             body = body[:int(headers["content-length"])]
-        return status, json.loads(body) if body else None
+        return status, strict_json(body) if body else None
     finally:
         writer.close()
         await writer.wait_closed()
@@ -452,3 +469,120 @@ class TestNonFiniteFeaturesOnTheWire:
             return True
 
         assert run_with_gateway(scenario, tracing=False)
+
+
+#: Requests whose node ids are not JSON integers, as (label, request,
+#: HTTP route).  ``int()`` coercion used to score or write the wrong
+#: node ("12" → nodes 1 and 2, 2.9 → 2, true → 1, 4.5 → 4).
+BAD_IDS = [
+    ("nodes-string", {"op": "score", "nodes": "12"}, "/v1/score_node"),
+    ("nodes-float", {"op": "score", "nodes": [2.9]}, "/v1/score_node"),
+    ("nodes-bool", {"op": "score", "nodes": [True]}, "/v1/score_node"),
+    ("nodes-string-item", {"op": "score", "nodes": ["3"]},
+     "/v1/score_node"),
+    ("edge-float", {"op": "score_edge", "u": 1.0, "v": 2},
+     "/v1/score_edge"),
+    ("edge-bool", {"op": "score_edge", "u": 1, "v": False},
+     "/v1/score_edge"),
+    ("add-edge-string", {"op": "add_edge", "u": "1", "v": 2}, "/v1/update"),
+    ("update-float-node",
+     {"op": "update_features", "node": 4.5, "features": [0.5] * 6},
+     "/v1/update"),
+]
+
+
+class TestStrictNodeIds:
+    @pytest.mark.parametrize("label,request_body,http_path", BAD_IDS)
+    def test_rejected_with_envelope_and_no_state_change(
+            self, label, request_body, http_path):
+        async def scenario(gateway, host, port):
+            store = gateway.service.store
+            before = (store.version, store.num_edges,
+                      store.features.copy())
+            ndjson = await ndjson_one(host, port, request_body)
+            status, http = await http_post(host, port, http_path,
+                                           request_body)
+            for response in (ndjson, http):
+                assert_envelope(response)
+                assert response["error_type"] == "ValueError"
+                assert response["code"] == 400
+            assert status == 400
+            assert strip_transport_fields(ndjson) \
+                == strip_transport_fields(http)
+            assert (store.version, store.num_edges) == before[:2]
+            np.testing.assert_array_equal(store.features, before[2])
+            return True
+
+        assert run_with_gateway(scenario, tracing=False)
+
+    def test_http_single_node_must_be_integer(self):
+        async def scenario(gateway, host, port):
+            status, body = await http_post(host, port, "/v1/score_node",
+                                           {"node": "7"})
+            assert status == 400
+            assert_envelope(body)
+            assert body["error_type"] == "ValueError"
+            return True
+
+        assert run_with_gateway(scenario, tracing=False)
+
+    @pytest.mark.parametrize("label,request_body,http_path", BAD_IDS)
+    def test_stdin_loop_rejects_the_same(self, label, request_body,
+                                         http_path):
+        import io
+
+        from repro.cli import _serve_loop
+
+        out = io.StringIO()
+        _serve_loop(make_service(),
+                    io.StringIO(json.dumps(request_body) + "\n"), out)
+        response = strict_json(out.getvalue())
+        assert_envelope(response)
+        assert response["error_type"] == "ValueError"
+        assert response["code"] == 400
+
+
+class TestNonFiniteScoresOnTheWire:
+    """A model with NaN weights scores NaN; no wire emits a bare NaN
+    token — every transport answers the NonFiniteResponse envelope."""
+
+    def test_ndjson_and_http(self):
+        async def scenario(gateway, host, port):
+            ndjson = await ndjson_one(host, port, {"op": "score",
+                                                   "nodes": [0], "id": 5})
+            status, http = await http_post(host, port, "/v1/score_node",
+                                           {"node": 0})
+            edge = await ndjson_one(host, port, {"op": "score_edge",
+                                                 "u": int(store_edge[0]),
+                                                 "v": int(store_edge[1])})
+            for response in (ndjson, http, edge):
+                assert_envelope(response)
+                assert response["error_type"] == "NonFiniteResponse"
+                assert response["code"] == 500
+            assert status == 500
+            assert ndjson["id"] == 5 and ndjson["op"] == "score"
+            assert strip_transport_fields(ndjson) \
+                == strip_transport_fields(http)
+            return True
+
+        service = nan_service()
+        store_edge = service.store.edge_key(0)
+        assert run_with_gateway(scenario, service=service, tracing=False)
+
+    def test_stdin_loop(self):
+        import io
+
+        from repro.cli import _serve_loop
+
+        out = io.StringIO()
+        requests = [{"op": "score", "nodes": [0, 1], "id": "a"},
+                    {"op": "stats"}]
+        _serve_loop(nan_service(),
+                    io.StringIO("".join(json.dumps(r) + "\n"
+                                        for r in requests)), out)
+        lines = [strict_json(line) for line in out.getvalue().splitlines()]
+        assert len(lines) == 2
+        assert_envelope(lines[0])
+        assert lines[0]["error_type"] == "NonFiniteResponse"
+        assert lines[0]["code"] == 500 and lines[0]["id"] == "a"
+        assert lines[1]["ok"] is True
